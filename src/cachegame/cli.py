@@ -72,9 +72,9 @@ def build_game_config(cfg: dict, samples: int) -> GameConfig:
     )
 
 
-def _reference_rates(cfg: GameConfig, tol: float):
+def _reference_rates(cfg: GameConfig):
     """Legit/adversarial rate pairs of the two Fig-reference placements."""
-    q0 = game.no_adversary_placement(cfg, tol=tol)
+    q0 = game.no_adversary_placement(cfg)
     uni = Placement.uniform(cfg.library.num_files, cfg.cache_size)
     pairs = []
     for pl in (q0, uni):
@@ -122,7 +122,7 @@ def cmd_placement(cfg: dict, args):
 def cmd_sweep_alpha(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     alphas = args.alpha_grid
-    refs = _reference_rates(gcfg, tol=1e-7)
+    refs = _reference_rates(gcfg)
     results = game.sweep_equilibria(gcfg, alphas)
     rows, code = [], EXIT_OK
     for alpha, res in zip(alphas, results):
@@ -219,8 +219,8 @@ def cmd_simulate(cfg: dict, args):
                                     cfg["seed"] + i)
         m = quantize_placement(res.q_star, n, gcfg.popularity)
         quantized = Placement(q=m / n, cache_size=gcfg.cache_size)
-        j_star, strat = res.j_star, rate.AdversaryStrategy.point_mass(
-            gcfg.library.num_files, res.j_star)
+        # the simulated adversaries target the least cached deployed file
+        _, strat = game.best_response(quantized)
         analytic_mn = rate.total_rate(
             alpha,
             rate.legit_rate(quantized, gcfg.popularity, gcfg.coverage),

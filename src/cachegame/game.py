@@ -3,28 +3,37 @@
 The follower (the adversaries) best-responds by requesting the least cached
 file, so the leader minimizes
 
-    (1-a) * sum_{d,j} gamma_d p_j max(1 - d q_j, 0)
-      + a * sum_d gamma_d max(1 - d min(q), 0)
+    (1-a) * sum_j p_j h(q_j) + a * h(min(q)),   h(x) = sum_d gamma_d max(1 - d x, 0)
 
 over the box-and-capacity polytope {0 <= q <= 1, sum q <= M}.  The objective
-is piecewise linear and convex, and is solved exactly as a linear program:
-auxiliary t_{d,j} >= max(1 - d q_j, 0), a scalar mu <= q_j for min(q), and
-s_d >= max(1 - d mu, 0).
+is convex and piecewise linear, and is minimized exactly by a greedy inside
+a one-dimensional search (Dantzig; Ibaraki & Katoh, Resource Allocation
+Problems, 1988):
+
+- Per-file segments.  With c_k = sum_{d<=k} d gamma_d, h falls at rate c_k
+  on segment k, [1/(k+1), 1/k] (segment S starts at 0), so segment k of file
+  j weighs w_jk = p_j c_k.  All S*N segments are sorted once by weight,
+  descending and stable, each file's laid out in increasing q; the order
+  depends on neither alpha nor mu.
+- Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
+  V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
+  max(M - N mu, 0) over the parts of the segments that lie above mu.
+- Search.  V is convex with right derivative
+  V'(mu+) = -a c_k + (1-a) sum_j max(lam - p_j c_k, 0), where k is the level
+  that contains (mu, mu + eps) and lam the weight of the last segment with a
+  positive fill (0 if everything fits).  Bisection on its sign over
+  [0, M/N], until the midpoint equals an endpoint, finds the smallest mu
+  with V'(mu+) >= 0; the greedy fill at that mu is the placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .model import GameConfig, Placement, RateBreakdown
 from .rate import AdversaryStrategy, adversary_rate, legit_rate, total_rate
-
-_STATUS = {0: "optimal", 2: "infeasible"}
 
 
 @dataclass(frozen=True)
@@ -58,46 +67,6 @@ def best_response(placement: Placement) -> tuple[int, AdversaryStrategy]:
     return j_star, AdversaryStrategy.point_mass(placement.num_files, j_star)
 
 
-@lru_cache(maxsize=16)
-def _lp_constraints(num_files: int, max_cov: int):
-    """Sparse A_ub for the epigraph LP; depends only on the problem shape.
-
-    Variable layout: q (N), t (S*N, d-major), mu (1), s (S).
-    """
-    n, s = num_files, max_cov
-    nvars = n + s * n + 1 + s
-    mu_col = n + s * n
-    rows, cols, vals = [], [], []
-    ri = 0
-    # t_{d,j} >= 1 - d q_j   <=>   -d q_j - t_{d,j} <= -1
-    for d in range(1, s + 1):
-        for j in range(n):
-            rows += [ri, ri]
-            cols += [j, n + (d - 1) * n + j]
-            vals += [-float(d), -1.0]
-            ri += 1
-    # mu <= q_j
-    for j in range(n):
-        rows += [ri, ri]
-        cols += [mu_col, j]
-        vals += [1.0, -1.0]
-        ri += 1
-    # s_d >= 1 - d mu
-    for d in range(1, s + 1):
-        rows += [ri, ri]
-        cols += [mu_col, mu_col + d]
-        vals += [-float(d), -1.0]
-        ri += 1
-    # sum q <= M (rhs filled per instance)
-    rows += [ri] * n
-    cols += list(range(n))
-    vals += [1.0] * n
-    ri += 1
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(ri, nvars))
-    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * (s * n) + [(0.0, 1.0)] + [(0.0, None)] * s
-    return a_ub, bounds
-
-
 def _canonicalize(q: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Non-increasing rearrangement of q aligned with popularity order.
 
@@ -111,38 +80,53 @@ def _canonicalize(q: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return canon
 
 
-def equilibrium_placement(cfg: GameConfig, tol: float = 1e-7) -> EquilibriumResult:
-    """Leader's equilibrium placement, solved exactly as a linear program."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = cfg.library.num_files
-    s = cfg.coverage.max_coverage
+def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
+                      cache: float) -> np.ndarray:
+    """Exact minimizer of the leader's objective, by the search of the module
+    docstring; files of equal weight are filled in index order."""
+    n, s = probs.size, gamma.size
+    hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
+    lo = np.append(0.0, hi[:-1])
+    c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
+    weight = np.outer(probs, c).ravel()
+    order = np.argsort(-weight, kind="stable")
+    weight = weight[order]
+    owner, segment = np.divmod(order, s)
+
+    def above(mu):
+        """Budget, and each sorted segment's length above mu and cumulative end."""
+        length = np.maximum(hi - np.maximum(lo, mu), 0.0)[segment]
+        # in floating point M - N*(M/N) can come out as -eps
+        return max(cache - n * mu, 0.0), length, np.cumsum(length)
+
+    def slope(mu):
+        """V'(mu+)."""
+        budget, _, end = above(mu)
+        last = int(np.searchsorted(end, budget))  # last segment with a positive fill
+        lam = weight[last] if last < end.size else 0.0
+        c_k = c[np.count_nonzero(lo <= mu) - 1]
+        return (-alpha * c_k
+                + (1.0 - alpha) * np.maximum(lam - probs * c_k, 0.0).sum())
+
+    mu_lo, mu_hi = 0.0, cache / n
+    if slope(0.0) >= 0.0:
+        mu_hi = 0.0
+    while mu_lo < (mid := 0.5 * (mu_lo + mu_hi)) < mu_hi:
+        if slope(mid) >= 0.0:
+            mu_hi = mid
+        else:
+            mu_lo = mid
+    budget, length, end = above(mu_hi)
+    start = np.concatenate(([0.0], end[:-1]))
+    fill = np.clip(budget - start, 0.0, length)
+    return mu_hi + np.bincount(owner, weights=fill, minlength=n)
+
+
+def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
+    """Leader's equilibrium placement, the exact optimum of the greedy search."""
     probs = cfg.popularity.probs
-    gamma = cfg.coverage.gamma
-    a_ub, bounds = _lp_constraints(n, s)
-    b_ub = np.concatenate([
-        -np.ones(s * n),
-        np.zeros(n),
-        -np.ones(s),
-        [cfg.cache_size],
-    ])
-    c = np.zeros(n + s * n + 1 + s)
-    for d in range(s):
-        c[n + d * n: n + (d + 1) * n] = (1.0 - cfg.alpha) * gamma[d] * probs
-    c[n + s * n + 1:] = cfg.alpha * gamma
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
-        options={
-            "primal_feasibility_tolerance": min(tol, 1e-7),
-            "dual_feasibility_tolerance": min(tol, 1e-7),
-        },
-    )
-    status = _STATUS.get(res.status, "iteration-limit")
-    if res.x is None:
-        q = Placement.uniform(n, cfg.cache_size).q
-    else:
-        q = _canonicalize(np.clip(res.x[:n], 0.0, 1.0), probs)
-    placement = Placement(q=q, cache_size=cfg.cache_size)
+    q = _greedy_placement(probs, cfg.coverage.gamma, cfg.alpha, cfg.cache_size)
+    placement = Placement(q=_canonicalize(q, probs), cache_size=cfg.cache_size)
     j_star, strategy = best_response(placement)
     r_l = legit_rate(placement, cfg.popularity, cfg.coverage)
     r_a = adversary_rate(placement, cfg.coverage, strategy)
@@ -150,11 +134,11 @@ def equilibrium_placement(cfg: GameConfig, tol: float = 1e-7) -> EquilibriumResu
         q_star=placement,
         j_star=j_star,
         rates=total_rate(cfg.alpha, r_l, r_a),
-        solver_status=status,
+        solver_status="optimal",
     )
 
 
-def no_adversary_placement(cfg: GameConfig, tol: float = 1e-7) -> Placement:
+def no_adversary_placement(cfg: GameConfig) -> Placement:
     """Optimal placement against purely popularity-driven demand (alpha = 0).
 
     Each file's deficit is convex piecewise linear with breakpoints
@@ -163,7 +147,7 @@ def no_adversary_placement(cfg: GameConfig, tol: float = 1e-7) -> Placement:
     {0, 1/S, ..., 1/2, 1} except for at most one marginal file, which
     absorbs the capacity left after the last whole segment.
     """
-    return equilibrium_placement(cfg.with_alpha(0.0), tol=tol).q_star
+    return equilibrium_placement(cfg.with_alpha(0.0)).q_star
 
 
 def worst_case_rate(cfg: GameConfig) -> float:
@@ -177,13 +161,12 @@ def worst_case_rate(cfg: GameConfig) -> float:
     return float(cfg.coverage.gamma @ np.maximum(1.0 - d * frac, 0.0))
 
 
-def sweep_equilibria(cfg: GameConfig, alphas, tol: float = 1e-7) -> list[EquilibriumResult]:
+def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
     """Equilibrium solves for each alpha on a grid (independent solves)."""
-    return [equilibrium_placement(cfg.with_alpha(float(a)), tol=tol) for a in alphas]
+    return [equilibrium_placement(cfg.with_alpha(float(a))) for a in alphas]
 
 
 def detect_thresholds(cfg: GameConfig, alpha_grid, distance_tol: float = 1e-3,
-                      tol: float = 1e-7,
                       results: list[EquilibriumResult] | None = None) -> ThresholdResult:
     """Locate the branching and gathering points of the placement trajectory.
 
@@ -202,10 +185,10 @@ def detect_thresholds(cfg: GameConfig, alpha_grid, distance_tol: float = 1e-3,
     if distance_tol <= 0:
         raise ValueError("distance_tol must be positive")
     if results is None:
-        results = sweep_equilibria(cfg, alphas, tol=tol)
+        results = sweep_equilibria(cfg, alphas)
     elif len(results) != alphas.size:
         raise ValueError("results do not match the alpha grid")
-    q_ref = no_adversary_placement(cfg, tol=tol).q
+    q_ref = no_adversary_placement(cfg).q
     q_uni = Placement.uniform(cfg.library.num_files, cfg.cache_size).q
     thr_1 = thr_2 = None
     for a, res in zip(alphas, results):

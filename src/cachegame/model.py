@@ -22,17 +22,14 @@ def _frozen_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LibraryConfig:
-    """File library: N files of B bits, each split into n fragments."""
+    """File library: N files, each split into n fragments."""
 
     num_files: int
-    file_size_bits: int = 1
     fragments_per_file: int = 100
 
     def __post_init__(self):
         if self.num_files < 1:
             raise ValueError("num_files must be >= 1")
-        if self.file_size_bits < 1:
-            raise ValueError("file_size_bits must be >= 1")
         if self.fragments_per_file < 1:
             raise ValueError("fragments_per_file must be >= 1")
 

@@ -80,7 +80,9 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
     """Simulate num_requests deliveries against the quantized placement.
 
     A request is adversarial with probability alpha; legitimate users draw a
-    file from the popularity, adversaries all target the least cached file.
+    file from the popularity, adversaries all target the least cached file
+    of the deployed m (the lowest index on ties), which need not be the
+    least cached file of q once rounding and the capacity repair apply.
     The per-request cost is max(n - d*m_j, 0)/n.  Deterministic per seed.
     """
     if num_requests < 1:
@@ -89,7 +91,7 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     m = quantize_placement(placement, n, cfg.popularity)
-    j_star, _ = best_response(placement)
+    j_star, _ = best_response(Placement(q=m / n, cache_size=placement.cache_size))
     num_files = placement.num_files
     s = cfg.coverage.max_coverage
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cachegame import (AdversaryStrategy, CoverageProfile, GameConfig,
+from cachegame import (CoverageProfile, GameConfig,
                        LibraryConfig, NetworkGeometry, Placement,
                        PopularityDist, adversary_rate, best_response,
                        coverage_areas_unit_cell, coverage_profile,
@@ -243,7 +243,8 @@ def test_criterion_8_simulation_agreement(gamma_r45):
             report = simulate(res.q_star, cfg, n, 100_000, seed=800 + i)
             m = quantize_placement(res.q_star, n, cfg.popularity)
             quantized = Placement(q=m / n, cache_size=cache)
-            strat = AdversaryStrategy.point_mass(200, res.j_star)
+            # the adversaries target the least cached deployed file
+            _, strat = best_response(quantized)
             analytic_q = res.rates.r_total
             analytic_mn = total_rate(
                 alpha, legit_rate(quantized, cfg.popularity, cfg.coverage),

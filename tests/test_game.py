@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lp_oracle import lp_equilibrium
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        PopularityDist, adversary_rate, best_response,
                        detect_thresholds, equilibrium_placement, legit_rate,
@@ -31,7 +38,7 @@ def reference_config(alpha=0.0):
 def brute_force_value(probs, gamma, cache, alpha, step=0.02):
     """Exhaustive grid search over the feasible placements.
 
-    Independent of the LP path: enumerates every q on the grid via
+    Independent of the solver: enumerates every q on the grid via
     broadcasting and evaluates the deficit objective directly.
     """
     probs = np.asarray(probs, dtype=float)
@@ -120,12 +127,12 @@ class TestEquilibriumPlacement:
             cache = float(rng.uniform(0.2, min(2.0, n - 0.1)))
             alpha = [0.0, 0.3, 0.7, 1.0][k % 4]
             cfg = make_config(alpha, probs, gamma, cache)
-            lp = equilibrium_placement(cfg).rates.r_total
+            value = equilibrium_placement(cfg).rates.r_total
             brute = brute_force_value(probs, gamma, cache, alpha)
-            assert lp <= brute + 1e-9
+            assert value <= brute + 1e-9
             # grid projection moves each entry by at most one step while
             # keeping the capacity, so the gap is bounded by S * step
-            assert abs(lp - brute) <= s * 0.02 + 1e-9
+            assert abs(value - brute) <= s * 0.02 + 1e-9
 
     def test_feasibility_and_saturation(self):
         for alpha in (0.0, 0.2, 0.6, 1.0):
@@ -133,6 +140,52 @@ class TestEquilibriumPlacement:
             q = res.q_star.q
             assert np.all(q >= -1e-6) and np.all(q <= 1 + 1e-6)
             assert q.sum() == pytest.approx(20.0, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.30, 0.35])
+    def test_matches_lp_oracle_where_default_tolerance_stops_early(self, alpha):
+        # HiGHS at its default tolerance 1e-7 reports `optimal` here while
+        # 2.7e-8 (alpha 0.30) and 4.7e-8 (alpha 0.35) above the optimum
+        cfg = make_config(alpha, zipf_popularity(2000, 0.7).probs, GAMMA_R45, 200.0)
+        _, oracle = lp_equilibrium(cfg, tol=1e-9)
+        assert abs(equilibrium_placement(cfg).rates.r_total - oracle) <= 1e-12
+
+    def test_matches_lp_oracle_on_random_instances(self):
+        rng = np.random.default_rng(300)
+        for k in range(300):
+            n = int(rng.integers(2, 401))
+            s = int(rng.integers(1, 5))
+            probs = rng.dirichlet(np.ones(n) * rng.uniform(0.2, 3.0))
+            gamma = rng.dirichlet(np.ones(s))
+            cache = float(rng.uniform(0.05, n - 0.05))
+            alpha = [0.0, 1.0, float(rng.random())][k % 3]
+            cfg = make_config(alpha, probs, gamma, cache)
+            _, oracle = lp_equilibrium(cfg, tol=1e-9)
+            value = equilibrium_placement(cfg).rates.r_total
+            assert abs(value - oracle) <= 1e-12, (k, n, s, alpha, cache)
+
+    def test_large_library(self):
+        cfg = make_config(0.5, zipf_popularity(20_000, 0.7).probs, GAMMA_R45, 2000.0)
+        start = time.perf_counter()
+        res = equilibrium_placement(cfg)
+        q0 = no_adversary_placement(cfg)
+        elapsed = time.perf_counter() - start
+        q = res.q_star.q
+        assert q.sum() <= cfg.cache_size + 1e-6
+        assert np.all(np.diff(q) <= 0.0)
+        for reference in (q0, Placement.uniform(20_000, 2000.0)):
+            _, strat = best_response(reference)
+            ref_rate = total_rate(
+                cfg.alpha, legit_rate(reference, cfg.popularity, cfg.coverage),
+                adversary_rate(reference, cfg.coverage, strat)).r_total
+            assert res.rates.r_total <= ref_rate + 1e-12
+        assert elapsed < 5.0
+
+    def test_import_leaves_scipy_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import cachegame, sys; assert 'scipy' not in sys.modules"],
+            check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestNoAdversaryPlacement:

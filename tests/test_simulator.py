@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cachegame import (AdversaryStrategy, CodedPlacement, CoverageProfile,
-                       GameConfig, LibraryConfig, Placement, PopularityDist,
-                       adversary_rate, best_response, legit_rate,
+                       GameConfig, LibraryConfig, NetworkGeometry, Placement,
+                       adversary_rate, best_response, coverage_areas_unit_cell,
+                       coverage_profile, equilibrium_placement, legit_rate,
                        packet_accounting_check, quantize_placement, simulate,
                        total_rate, zipf_popularity)
 
@@ -101,11 +102,29 @@ class TestSimulate:
         report = simulate(pl, cfg, n, 100_000, seed=61)
         m = quantize_placement(pl, n, cfg.popularity)
         quantized = Placement(q=m / n, cache_size=pl.cache_size)
-        j_star, _ = best_response(pl)
-        strat = AdversaryStrategy.point_mass(50, j_star)
+        _, strat = best_response(quantized)
         expected = analytic_total(quantized, cfg, strat)
         tol = max(4 * report.backhaul_fraction_stderr, 1e-12)
         assert abs(report.backhaul_fraction_mean - expected) <= tol
+
+    def test_adversary_targets_least_cached_deployed_file(self):
+        # criterion 8's instance at alpha = 0.5, M = 20: argmin q is file 20
+        # (0-based), deployed with m = 6, while the capacity repair leaves
+        # files such as 121 at m = 5
+        n = 100
+        geom = NetworkGeometry(mbs_radius=500.0, sbs_spacing=60.0,
+                               sbs_radius=45.0, user_density=0.05)
+        gamma = coverage_profile(coverage_areas_unit_cell(geom, 1_000_000, seed=1)).gamma
+        cfg = make_config(0.5, num_files=200, cache=20.0, gamma=gamma)
+        res = equilibrium_placement(cfg)
+        m = quantize_placement(res.q_star, n, cfg.popularity)
+        assert (res.j_star, m[res.j_star], m[121], m.min()) == (20, 6, 5, 5)
+        deployed = Placement(q=m / n, cache_size=cfg.cache_size)
+        target = AdversaryStrategy.point_mass(200, int(np.argmin(m)))
+        report = simulate(res.q_star, cfg, n, 100_000, seed=805)
+        expected = analytic_total(deployed, cfg, target)
+        assert abs(report.backhaul_fraction_mean - expected) <= (
+            4 * report.backhaul_fraction_stderr)
 
     def test_quantization_gap_is_lipschitz_bounded(self):
         rng = np.random.default_rng(71)
