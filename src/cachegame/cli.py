@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -72,24 +73,6 @@ def build_game_config(cfg: dict, samples: int) -> GameConfig:
     )
 
 
-def _reference_rates(cfg: GameConfig):
-    """Legit/adversarial rate pairs of the two Fig-reference placements."""
-    q0 = game.no_adversary_placement(cfg)
-    uni = Placement.uniform(cfg.library.num_files, cfg.cache_size)
-    pairs = []
-    for pl in (q0, uni):
-        _, strat = game.best_response(pl)
-        pairs.append((
-            rate.legit_rate(pl, cfg.popularity, cfg.coverage),
-            rate.adversary_rate(pl, cfg.coverage, strat),
-        ))
-    return pairs
-
-
-def _mix(alpha: float, pair: tuple[float, float]) -> float:
-    return alpha * pair[1] + (1.0 - alpha) * pair[0]
-
-
 def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str], int]:
     geom = build_geometry(cfg)
     areas = geometry.coverage_areas_unit_cell(geom, args.samples, cfg["seed"])
@@ -122,7 +105,8 @@ def cmd_placement(cfg: dict, args):
 def cmd_sweep_alpha(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     alphas = args.alpha_grid
-    refs = _reference_rates(gcfg)
+    base = game.equilibrium_placement(gcfg.with_alpha(0.0)).rates
+    uniform = game.worst_case_rate(gcfg)
     results = game.sweep_equilibria(gcfg, alphas)
     rows, code = [], EXIT_OK
     for alpha, res in zip(alphas, results):
@@ -131,7 +115,8 @@ def cmd_sweep_alpha(cfg: dict, args):
         rows.append([
             _fmt(alpha), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
             _fmt(res.rates.r_adv), str(res.j_star + 1),
-            _fmt(_mix(alpha, refs[0])), _fmt(_mix(alpha, refs[1])),
+            _fmt(rate.total_rate(alpha, base.r_legit, base.r_adv).r_total),
+            _fmt(uniform),
             res.solver_status,
         ])
     header = ["alpha", "R_total", "R_legit", "R_adv", "j_star",
@@ -161,10 +146,7 @@ def cmd_sweep_cache(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     rows, code = [], EXIT_OK
     for cache in args.cache_grid:
-        res = game.equilibrium_placement(
-            GameConfig(alpha=gcfg.alpha, library=gcfg.library,
-                       popularity=gcfg.popularity, coverage=gcfg.coverage,
-                       cache_size=cache))
+        res = game.equilibrium_placement(dataclasses.replace(gcfg, cache_size=cache))
         if res.solver_status != "optimal":
             code = EXIT_SOLVER
         rows.append([
@@ -218,14 +200,9 @@ def cmd_simulate(cfg: dict, args):
         report = simulator.simulate(res.q_star, sub, n, args.requests,
                                     cfg["seed"] + i)
         m = quantize_placement(res.q_star, n, gcfg.popularity)
-        quantized = Placement(q=m / n, cache_size=gcfg.cache_size)
         # the simulated adversaries target the least cached deployed file
-        _, strat = game.best_response(quantized)
-        analytic_mn = rate.total_rate(
-            alpha,
-            rate.legit_rate(quantized, gcfg.popularity, gcfg.coverage),
-            rate.adversary_rate(quantized, gcfg.coverage, strat),
-        ).r_total
+        analytic_mn = game.evaluate(
+            Placement(q=m / n, cache_size=gcfg.cache_size), sub).r_total
         stderr = report.backhaul_fraction_stderr
         z = ((report.backhaul_fraction_mean - analytic_mn) / stderr
              if stderr > 0 else 0.0)
@@ -283,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for grid_name in ("alpha_grid", "r_grid", "cache_grid"):
-        value = getattr(args, grid_name)
-        if isinstance(value, str):
-            setattr(args, grid_name, parse_grid(value))
     try:
         overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
         cfg = load_config(args.config, overrides)

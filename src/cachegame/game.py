@@ -67,6 +67,14 @@ def best_response(placement: Placement) -> tuple[int, AdversaryStrategy]:
     return j_star, AdversaryStrategy.point_mass(placement.num_files, j_star)
 
 
+def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
+    """Rates of a placement at cfg.alpha, the adversaries best-responding."""
+    _, strategy = best_response(placement)
+    return total_rate(cfg.alpha,
+                      legit_rate(placement, cfg.popularity, cfg.coverage),
+                      adversary_rate(placement, cfg.coverage, strategy))
+
+
 def _canonicalize(q: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Non-increasing rearrangement of q aligned with popularity order.
 

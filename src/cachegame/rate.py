@@ -37,16 +37,6 @@ class AdversaryStrategy:
         probs[target] = 1.0
         return cls(probs=probs)
 
-    @classmethod
-    def from_requests(cls, requests, num_files: int) -> "AdversaryStrategy":
-        requests = np.asarray(requests, dtype=np.int64)
-        if requests.size == 0:
-            raise ValueError("need at least one request")
-        if np.any(requests < 0) or np.any(requests >= num_files):
-            raise ValueError("request index out of range")
-        counts = np.bincount(requests, minlength=num_files)
-        return cls(probs=counts / requests.size)
-
 
 def deficit_rate(q: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> float:
     """sum_d sum_j gamma_d * w_j * max(1 - d*q_j, 0) on raw arrays."""

@@ -13,49 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import best_response
-from .model import GameConfig, Placement, PopularityDist, quantize_placement
-
-
-@dataclass(frozen=True)
-class CodedPlacement:
-    """Integer packet placement: m_j packets per SBS, n - m_j kept at the MBS."""
-
-    n: int
-    m: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        m = np.array(self.m, dtype=np.int64)
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        if np.any(m < 0) or np.any(m > self.n):
-            raise ValueError("packet counts must lie in [0, n]")
-
-    @property
-    def mbs_reserve(self) -> np.ndarray:
-        return self.n - self.m
-
-    @classmethod
-    def from_placement(cls, placement: Placement, n: int,
-                       popularity: PopularityDist | None = None) -> "CodedPlacement":
-        return cls(n=n, m=quantize_placement(placement, n, popularity))
-
-
-def packet_accounting_check(placement: CodedPlacement, d: int) -> bool:
-    """Verify the MDS counting identity for a coverage count of d SBSs.
-
-    A user collects d*m_j distinct packets from the SBSs; recovery needs the
-    MBS reserve of n - m_j packets to cover any remaining deficit.  Holds
-    for every m_j in [0, n] and d >= 1; False flags a model violation.
-    """
-    if d < 1:
-        raise ValueError("coverage count must be >= 1")
-    from_sbs = d * placement.m
-    deficit = np.maximum(placement.n - from_sbs, 0)
-    reserve_ok = np.all(deficit <= placement.mbs_reserve)
-    recovered = np.minimum(from_sbs, placement.n) + deficit >= placement.n
-    return bool(reserve_ok and np.all(recovered))
+from .model import GameConfig, Placement, quantize_placement
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ t_{d,j} >= max(1 - d q_j, 0), a scalar mu <= q_j for min(q), and
 s_d >= max(1 - d mu, 0), over {0 <= q <= 1, sum q <= M}.  It runs at a tight
 tolerance: at HiGHS's default of 1e-7 it can report `optimal` at a vertex
 some 5e-8 above the optimum when segment weights nearly tie.
+
+Even at 1e-9 it is exact only to about 1e-10 when M sits just past a segment
+boundary (M = N/2 + 1e-9): there it has stopped up to 1.6e-10 above the
+optimum, never below it.  Comparisons at 1e-12 hold away from such inputs.
 """
 
 from functools import lru_cache
@@ -13,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from cachegame import Placement, adversary_rate, best_response, legit_rate, total_rate
+from cachegame import Placement, evaluate
 
 
 @lru_cache(maxsize=16)
@@ -57,7 +61,7 @@ def _lp_constraints(num_files: int, max_cov: int):
 
 
 def lp_equilibrium(cfg, tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """(q, R_total) of the LP optimum, R_total evaluated through `cachegame.rate`."""
+    """(q, R_total) of the LP optimum, R_total evaluated by `cachegame.evaluate`."""
     n = cfg.library.num_files
     s = cfg.coverage.max_coverage
     probs = cfg.popularity.probs
@@ -74,8 +78,4 @@ def lp_equilibrium(cfg, tol: float = 1e-9) -> tuple[np.ndarray, float]:
     if res.status != 0:
         raise RuntimeError(f"LP oracle failed: {res.message}")
     placement = Placement(q=np.clip(res.x[:n], 0.0, 1.0), cache_size=cfg.cache_size)
-    _, strategy = best_response(placement)
-    rates = total_rate(cfg.alpha,
-                       legit_rate(placement, cfg.popularity, cfg.coverage),
-                       adversary_rate(placement, cfg.coverage, strategy))
-    return placement.q, rates.r_total
+    return placement.q, evaluate(placement, cfg).r_total

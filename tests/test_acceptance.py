@@ -17,10 +17,9 @@ from cachegame import (CoverageProfile, GameConfig,
                        PopularityDist, adversary_rate, best_response,
                        coverage_areas_unit_cell, coverage_profile,
                        deployment_counts, detect_thresholds,
-                       equilibrium_placement, legit_rate,
+                       equilibrium_placement, evaluate, legit_rate,
                        no_adversary_placement, quantize_placement, simulate,
-                       sweep_equilibria, total_rate, worst_case_rate,
-                       zipf_popularity)
+                       sweep_equilibria, worst_case_rate, zipf_popularity)
 
 from test_game import brute_force_value, make_config
 from test_geometry import independent_coverage_mc
@@ -64,9 +63,7 @@ def sweep101(reference_config):
 
 
 def reference_rate(placement, cfg, alpha):
-    _, strat = best_response(placement)
-    return total_rate(alpha, legit_rate(placement, cfg.popularity, cfg.coverage),
-                      adversary_rate(placement, cfg.coverage, strat)).r_total
+    return evaluate(placement, cfg.with_alpha(alpha)).r_total
 
 
 def test_criterion_1_uniform_extreme():
@@ -242,13 +239,9 @@ def test_criterion_8_simulation_agreement(gamma_r45):
             res = equilibrium_placement(cfg)
             report = simulate(res.q_star, cfg, n, 100_000, seed=800 + i)
             m = quantize_placement(res.q_star, n, cfg.popularity)
-            quantized = Placement(q=m / n, cache_size=cache)
             # the adversaries target the least cached deployed file
-            _, strat = best_response(quantized)
             analytic_q = res.rates.r_total
-            analytic_mn = total_rate(
-                alpha, legit_rate(quantized, cfg.popularity, cfg.coverage),
-                adversary_rate(quantized, cfg.coverage, strat)).r_total
+            analytic_mn = evaluate(Placement(q=m / n, cache_size=cache), cfg).r_total
             tol = max(4 * report.backhaul_fraction_stderr, 1e-12)
             assert abs(report.backhaul_fraction_mean - analytic_mn) <= tol
             assert abs(analytic_q - analytic_mn) <= gamma_r45.max_coverage / n

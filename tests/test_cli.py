@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from cachegame.cli import main, parse_grid
+from cachegame.cli import build_parser, main, parse_grid
 
 
 @pytest.fixture
@@ -42,6 +42,14 @@ class TestParseGrid:
             parse_grid("1:0:0.5")
         with pytest.raises(ValueError):
             parse_grid("3,2,1")
+
+    def test_string_defaults_are_parsed(self):
+        # argparse applies `type` to a string default
+        args = build_parser().parse_args(["sweep-alpha"])
+        assert len(args.alpha_grid) == 101
+        assert all(isinstance(a, float) for a in args.alpha_grid)
+        assert args.r_grid == [45.0, 50.0, 55.0, 60.0]
+        assert args.cache_grid == [10.0, 20.0, 30.0, 40.0]
 
 
 class TestGamma:

@@ -54,10 +54,6 @@ class TestAdversaryRate:
         strat = AdversaryStrategy.point_mass(2, 1)
         assert adversary_rate(pl, cov, strat) == pytest.approx(0.8)
 
-    def test_strategy_from_requests(self):
-        strat = AdversaryStrategy.from_requests([0, 0, 2, 2], 3)
-        np.testing.assert_allclose(strat.probs, [0.5, 0.0, 0.5])
-
 
 class TestTotalRate:
     @pytest.mark.parametrize("alpha,expected", [(0.0, 0.3), (1.0, 0.9), (0.5, 0.6)])

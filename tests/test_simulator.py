@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cachegame import (AdversaryStrategy, CodedPlacement, CoverageProfile,
-                       GameConfig, LibraryConfig, NetworkGeometry, Placement,
+from cachegame import (AdversaryStrategy, CoverageProfile, GameConfig,
+                       LibraryConfig, NetworkGeometry, Placement,
                        adversary_rate, best_response, coverage_areas_unit_cell,
-                       coverage_profile, equilibrium_placement, legit_rate,
-                       packet_accounting_check, quantize_placement, simulate,
-                       total_rate, zipf_popularity)
+                       coverage_profile, equilibrium_placement, evaluate,
+                       legit_rate, quantize_placement, simulate, total_rate,
+                       zipf_popularity)
 
 GAMMA_R45 = np.array([0.290706, 0.659095, 0.043004, 0.007196])
 GAMMA_R45 = GAMMA_R45 / GAMMA_R45.sum()
@@ -28,35 +28,6 @@ def analytic_total(placement, cfg, strategy):
         legit_rate(placement, cfg.popularity, cfg.coverage),
         adversary_rate(placement, cfg.coverage, strategy),
     ).r_total
-
-
-class TestPacketAccounting:
-    def test_full_file_at_one_sbs(self):
-        cp = CodedPlacement(n=8, m=[8])
-        assert packet_accounting_check(cp, 1)
-        assert cp.mbs_reserve.tolist() == [0]
-
-    def test_half_placement_consumes_reserve(self):
-        cp = CodedPlacement(n=8, m=[4])
-        assert packet_accounting_check(cp, 1)
-        assert cp.mbs_reserve.tolist() == [4]
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 50])
-    def test_identity_holds_exhaustively(self, n):
-        cp = CodedPlacement(n=n, m=np.arange(n + 1))
-        for d in range(1, 5):
-            assert packet_accounting_check(cp, d)
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            CodedPlacement(n=4, m=[5])
-        with pytest.raises(ValueError):
-            packet_accounting_check(CodedPlacement(n=4, m=[2]), 0)
-
-    def test_from_placement_quantizes(self):
-        pl = Placement(q=[1.0, 0.5, 0.0], cache_size=1.5)
-        cp = CodedPlacement.from_placement(pl, 4)
-        assert cp.m.tolist() == quantize_placement(pl, 4).tolist()
 
 
 class TestSimulate:
@@ -101,9 +72,7 @@ class TestSimulate:
         pl = Placement(q=q, cache_size=q.sum() + 0.01)
         report = simulate(pl, cfg, n, 100_000, seed=61)
         m = quantize_placement(pl, n, cfg.popularity)
-        quantized = Placement(q=m / n, cache_size=pl.cache_size)
-        _, strat = best_response(quantized)
-        expected = analytic_total(quantized, cfg, strat)
+        expected = evaluate(Placement(q=m / n, cache_size=pl.cache_size), cfg).r_total
         tol = max(4 * report.backhaul_fraction_stderr, 1e-12)
         assert abs(report.backhaul_fraction_mean - expected) <= tol
 
