@@ -1,8 +1,7 @@
 """Command-line driver: builds instances from a config file and emits CSV.
 
 Subcommands: gamma, placement, sweep-alpha, sweep-r, sweep-cache,
-thresholds, simulate.  Exit codes: 0 success, 2 invalid configuration,
-3 solver failure in any row.
+thresholds, simulate.  Exit codes: 0 success, 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ import numpy as np
 
 from . import game, geometry, rate, simulator
 from .model import (CONFIG_KEYS, GameConfig, LibraryConfig, Placement,
-                    load_config, quantize_placement, zipf_popularity)
+                    load_config, zipf_popularity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SOLVER = 3
 
 
 def parse_grid(text: str) -> list[float]:
@@ -63,23 +61,20 @@ def build_game_config(cfg: dict, samples: int) -> GameConfig:
     areas = geometry.coverage_areas_unit_cell(geom, samples, cfg["seed"])
     return GameConfig(
         alpha=cfg["alpha"],
-        library=LibraryConfig(
-            num_files=cfg["num_files"],
-            fragments_per_file=cfg["fragments_per_file"],
-        ),
+        library=LibraryConfig(num_files=cfg["num_files"]),
         popularity=zipf_popularity(cfg["num_files"], cfg["zipf_exponent"]),
         coverage=geometry.coverage_profile(areas),
         cache_size=cfg["cache_size"],
     )
 
 
-def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str], int]:
+def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
     geom = build_geometry(cfg)
     areas = geometry.coverage_areas_unit_cell(geom, args.samples, cfg["seed"])
     gamma = geometry.coverage_profile(areas).gamma
     rows = [[str(d + 1), _fmt(areas.areas[d]), _fmt(gamma[d])]
             for d in range(gamma.size)]
-    return rows, ["d", "area_m2", "gamma"], EXIT_OK
+    return rows, ["d", "area_m2", "gamma"]
 
 
 def _placement_header(num_files: int) -> list[str]:
@@ -98,63 +93,55 @@ def _placement_row(alpha: float, res: game.EquilibriumResult) -> list[str]:
 def cmd_placement(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     res = game.equilibrium_placement(gcfg)
-    code = EXIT_OK if res.solver_status == "optimal" else EXIT_SOLVER
-    return [_placement_row(gcfg.alpha, res)], _placement_header(gcfg.library.num_files), code
+    return [_placement_row(gcfg.alpha, res)], _placement_header(gcfg.library.num_files)
 
 
 def cmd_sweep_alpha(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     alphas = args.alpha_grid
-    base = game.equilibrium_placement(gcfg.with_alpha(0.0)).rates
-    uniform = game.worst_case_rate(gcfg)
     results = game.sweep_equilibria(gcfg, alphas)
-    rows, code = [], EXIT_OK
-    for alpha, res in zip(alphas, results):
-        if res.solver_status != "optimal":
-            code = EXIT_SOLVER
-        rows.append([
-            _fmt(alpha), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-            _fmt(res.rates.r_adv), str(res.j_star + 1),
-            _fmt(rate.total_rate(alpha, base.r_legit, base.r_adv).r_total),
-            _fmt(uniform),
-            res.solver_status,
-        ])
+    # R_ref_noadv rates the alpha = 0 equilibrium, a grid point when it starts at 0
+    base = (results[0] if alphas[0] == 0
+            else game.equilibrium_placement(gcfg.with_alpha(0.0))).rates
+    uniform = game.worst_case_rate(gcfg)
+    rows = [[
+        _fmt(alpha), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
+        _fmt(res.rates.r_adv), str(res.j_star + 1),
+        _fmt(rate.total_rate(alpha, base.r_legit, base.r_adv).r_total),
+        _fmt(uniform),
+    ] for alpha, res in zip(alphas, results)]
     header = ["alpha", "R_total", "R_legit", "R_adv", "j_star",
-              "R_ref_noadv", "R_ref_uniform", "status"]
-    return rows, header, code
+              "R_ref_noadv", "R_ref_uniform"]
+    return rows, header
 
 
 def cmd_sweep_r(cfg: dict, args):
-    rows, code = [], EXIT_OK
+    rows = []
     for r in args.r_grid:
         sub = dict(cfg, sbs_radius_m=r)
         gcfg = build_game_config(sub, args.samples)
         res = game.equilibrium_placement(gcfg)
-        if res.solver_status != "optimal":
-            code = EXIT_SOLVER
         rows.append([
             _fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
             _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-            _fmt(res.rates.r_adv), str(res.j_star + 1), res.solver_status,
+            _fmt(res.rates.r_adv), str(res.j_star + 1),
         ])
     header = ["r_m", "gamma_1", "gamma_2", "gamma_3", "gamma_4",
-              "R_total", "R_legit", "R_adv", "j_star", "status"]
-    return rows, header, code
+              "R_total", "R_legit", "R_adv", "j_star"]
+    return rows, header
 
 
 def cmd_sweep_cache(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
-    rows, code = [], EXIT_OK
+    rows = []
     for cache in args.cache_grid:
         res = game.equilibrium_placement(dataclasses.replace(gcfg, cache_size=cache))
-        if res.solver_status != "optimal":
-            code = EXIT_SOLVER
         rows.append([
             _fmt(cache), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-            _fmt(res.rates.r_adv), str(res.j_star + 1), res.solver_status,
+            _fmt(res.rates.r_adv), str(res.j_star + 1),
         ])
-    header = ["cache_size", "R_total", "R_legit", "R_adv", "j_star", "status"]
-    return rows, header, code
+    header = ["cache_size", "R_total", "R_legit", "R_adv", "j_star"]
+    return rows, header
 
 
 def cmd_thresholds(cfg: dict, args):
@@ -163,20 +150,18 @@ def cmd_thresholds(cfg: dict, args):
     detection = game.detect_thresholds(gcfg, alphas)
     q_ref = game.no_adversary_placement(gcfg).q
     q_uni = Placement.uniform(gcfg.library.num_files, gcfg.cache_size).q
-    rows, code = [], EXIT_OK
+    rows = []
     for alpha, res in zip(alphas, detection.results):
-        if res.solver_status != "optimal":
-            code = EXIT_SOLVER
         q = res.q_star.q
         nonzero = np.nonzero(q > 1e-9)[0]
         q_mu = q[nonzero[-1]] if nonzero.size else 0.0
         rows.append([
             _fmt(alpha), _fmt(q.min()), _fmt(q.max()), _fmt(q_mu),
             _fmt(np.max(np.abs(q - q_ref))), _fmt(np.max(np.abs(q - q_uni))),
-            _fmt(res.rates.r_total), res.solver_status,
+            _fmt(res.rates.r_total),
         ])
     header = ["alpha", "q_min", "q_max", "q_mu",
-              "dist_noadv", "dist_uniform", "R_total", "status"]
+              "dist_noadv", "dist_uniform", "R_total"]
     if detection.alpha_thr_1 is not None:
         print(f"alpha_thr_1 = {detection.alpha_thr_1:.6f}")
     else:
@@ -185,24 +170,21 @@ def cmd_thresholds(cfg: dict, args):
         print(f"alpha_thr_2 = {detection.alpha_thr_2:.6f}")
     else:
         print("alpha_thr_2: no gathering on the grid")
-    return rows, header, code
+    return rows, header
 
 
 def cmd_simulate(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     n = cfg["fragments_per_file"]
-    rows, code = [], EXIT_OK
+    rows = []
     for i, alpha in enumerate(args.alpha_grid):
         sub = gcfg.with_alpha(alpha)
         res = game.equilibrium_placement(sub)
-        if res.solver_status != "optimal":
-            code = EXIT_SOLVER
         report = simulator.simulate(res.q_star, sub, n, args.requests,
                                     cfg["seed"] + i)
-        m = quantize_placement(res.q_star, n, gcfg.popularity)
         # the simulated adversaries target the least cached deployed file
         analytic_mn = game.evaluate(
-            Placement(q=m / n, cache_size=gcfg.cache_size), sub).r_total
+            Placement(q=report.packets / n, cache_size=gcfg.cache_size), sub).r_total
         stderr = report.backhaul_fraction_stderr
         z = ((report.backhaul_fraction_mean - analytic_mn) / stderr
              if stderr > 0 else 0.0)
@@ -211,12 +193,11 @@ def cmd_simulate(cfg: dict, args):
             _fmt(report.backhaul_fraction_mean), _fmt(stderr),
             *[str(c) for c in report.per_coverage_counts],
             _fmt(res.rates.r_total), _fmt(analytic_mn), _fmt(z),
-            res.solver_status,
         ])
     header = (["alpha", "requests", "mean", "stderr"]
               + [f"count_d{d}" for d in range(1, gcfg.coverage.max_coverage + 1)]
-              + ["analytic_q", "analytic_mn", "z_score", "status"])
-    return rows, header, code
+              + ["analytic_q", "analytic_mn", "z_score"])
+    return rows, header
 
 
 COMMANDS = {
@@ -265,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         if any(a < 0 or a > 1 for a in args.alpha_grid):
             raise ValueError("alpha grid must lie in [0, 1]")
-        rows, header, code = COMMANDS[args.command](cfg, args)
+        rows, header = COMMANDS[args.command](cfg, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -277,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(buf.getvalue())
     else:
         args.out.write_text(buf.getvalue())
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -13,8 +13,11 @@ Problems, 1988):
 - Per-file segments.  With c_k = sum_{d<=k} d gamma_d, h falls at rate c_k
   on segment k, [1/(k+1), 1/k] (segment S starts at 0), so segment k of file
   j weighs w_jk = p_j c_k.  All S*N segments are sorted once by weight,
-  descending and stable, each file's laid out in increasing q; the order
-  depends on neither alpha nor mu.
+  descending and stable, with the files laid out by popularity (ties in
+  index order) and each file's segments in increasing q; the order depends
+  on neither alpha nor mu.  So a more popular file never holds less than a
+  less popular one: the equilibrium is ordered by popularity, with ties in
+  index order.
 - Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
   V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
   max(M - N mu, 0) over the parts of the segments that lie above mu.
@@ -34,6 +37,9 @@ import numpy as np
 
 from .model import GameConfig, Placement, RateBreakdown
 from .rate import AdversaryStrategy, adversary_rate, legit_rate, total_rate
+
+# infinity-norm distance at which detect_thresholds calls two placements apart
+DISTANCE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -75,31 +81,21 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
                       adversary_rate(placement, cfg.coverage, strategy))
 
 
-def _canonicalize(q: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Non-increasing rearrangement of q aligned with popularity order.
-
-    By the rearrangement inequality this never worsens the objective, and it
-    makes per-index trajectories deterministic.  Files of equal popularity
-    keep index order.
-    """
-    order = np.argsort(-probs, kind="stable")
-    canon = np.empty_like(q)
-    canon[order] = np.sort(q)[::-1]
-    return canon
-
-
 def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
                       cache: float) -> np.ndarray:
     """Exact minimizer of the leader's objective, by the search of the module
-    docstring; files of equal weight are filled in index order."""
+    docstring.  Segments of equal weight are filled in popularity order, ties
+    in index order, so q is non-increasing in that order."""
     n, s = probs.size, gamma.size
     hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
     lo = np.append(0.0, hi[:-1])
     c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
-    weight = np.outer(probs, c).ravel()
+    by_popularity = np.argsort(-probs, kind="stable")
+    weight = np.outer(probs[by_popularity], c).ravel()
     order = np.argsort(-weight, kind="stable")
     weight = weight[order]
     owner, segment = np.divmod(order, s)
+    owner = by_popularity[owner]
 
     def above(mu):
         """Budget, and each sorted segment's length above mu and cumulative end."""
@@ -132,9 +128,9 @@ def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     """Leader's equilibrium placement, the exact optimum of the greedy search."""
-    probs = cfg.popularity.probs
-    q = _greedy_placement(probs, cfg.coverage.gamma, cfg.alpha, cfg.cache_size)
-    placement = Placement(q=_canonicalize(q, probs), cache_size=cfg.cache_size)
+    q = _greedy_placement(cfg.popularity.probs, cfg.coverage.gamma, cfg.alpha,
+                          cfg.cache_size)
+    placement = Placement(q=q, cache_size=cfg.cache_size)
     j_star, strategy = best_response(placement)
     r_l = legit_rate(placement, cfg.popularity, cfg.coverage)
     r_a = adversary_rate(placement, cfg.coverage, strategy)
@@ -174,13 +170,13 @@ def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
     return [equilibrium_placement(cfg.with_alpha(float(a))) for a in alphas]
 
 
-def detect_thresholds(cfg: GameConfig, alpha_grid, distance_tol: float = 1e-3,
+def detect_thresholds(cfg: GameConfig, alpha_grid,
                       results: list[EquilibriumResult] | None = None) -> ThresholdResult:
     """Locate the branching and gathering points of the placement trajectory.
 
     alpha_thr_1 is the smallest grid alpha whose equilibrium placement moves
-    more than distance_tol (infinity norm) away from the no-adversary
-    optimum; alpha_thr_2 the smallest grid alpha within distance_tol of the
+    more than DISTANCE_TOL (infinity norm) away from the no-adversary
+    optimum; alpha_thr_2 the smallest grid alpha within DISTANCE_TOL of the
     uniform placement.  `results` may carry precomputed solves for the grid.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
@@ -190,8 +186,6 @@ def detect_thresholds(cfg: GameConfig, alpha_grid, distance_tol: float = 1e-3,
         raise ValueError("alpha grid must be sorted")
     if alphas[0] < 0 or alphas[-1] > 1:
         raise ValueError("alpha grid must lie in [0, 1]")
-    if distance_tol <= 0:
-        raise ValueError("distance_tol must be positive")
     if results is None:
         results = sweep_equilibria(cfg, alphas)
     elif len(results) != alphas.size:
@@ -201,8 +195,8 @@ def detect_thresholds(cfg: GameConfig, alpha_grid, distance_tol: float = 1e-3,
     thr_1 = thr_2 = None
     for a, res in zip(alphas, results):
         q = res.q_star.q
-        if thr_1 is None and np.max(np.abs(q - q_ref)) > distance_tol:
+        if thr_1 is None and np.max(np.abs(q - q_ref)) > DISTANCE_TOL:
             thr_1 = float(a)
-        if thr_2 is None and np.max(np.abs(q - q_uni)) <= distance_tol:
+        if thr_2 is None and np.max(np.abs(q - q_uni)) <= DISTANCE_TOL:
             thr_2 = float(a)
     return ThresholdResult(alpha_thr_1=thr_1, alpha_thr_2=thr_2, results=tuple(results))

@@ -22,16 +22,13 @@ def _frozen_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LibraryConfig:
-    """File library: N files, each split into n fragments."""
+    """File library of N files."""
 
     num_files: int
-    fragments_per_file: int = 100
 
     def __post_init__(self):
         if self.num_files < 1:
             raise ValueError("num_files must be >= 1")
-        if self.fragments_per_file < 1:
-            raise ValueError("fragments_per_file must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -150,36 +147,27 @@ def zipf_popularity(num_files: int, exponent: float) -> PopularityDist:
 
 
 def quantize_placement(placement: Placement, n: int,
-                       popularity: PopularityDist | None = None) -> np.ndarray:
+                       popularity: PopularityDist) -> np.ndarray:
     """Round q to integer packet counts m with sum(m) <= floor(M * n).
 
     Rounding is to the nearest integer; if the rounded counts overshoot the
     cache capacity, files that were rounded up lose one packet each, least
-    popular first, until the capacity holds.  Without an explicit popularity
-    the file index is used as the popularity rank (lower index = more popular).
+    popular first (ties towards the higher index), until the capacity holds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     q = placement.q
+    if popularity.num_files != q.size:
+        raise ValueError("popularity size does not match the placement")
     m = np.floor(q * n + 0.5).astype(np.int64)
     capacity = int(np.floor(placement.cache_size * n + 1e-9))
     excess = int(m.sum()) - capacity
     if excess > 0:
-        if popularity is not None:
-            if popularity.num_files != q.size:
-                raise ValueError("popularity size does not match the placement")
-            # least popular first; ties broken towards the higher index
-            order = sorted(range(q.size), key=lambda j: (popularity.probs[j], -j))
-        else:
-            order = range(q.size - 1, -1, -1)
-        for j in order:
-            if excess == 0:
-                break
-            if m[j] > q[j] * n + 1e-12:
-                m[j] -= 1
-                excess -= 1
-    if excess > 0:  # cannot happen for a feasible placement
-        raise AssertionError("capacity repair failed")
+        order = np.lexsort((-np.arange(q.size), popularity.probs))
+        rounded_up = order[m[order] > q[order] * n + 1e-12]
+        if rounded_up.size < excess:  # cannot happen for a feasible placement
+            raise AssertionError("capacity repair failed")
+        m[rounded_up[:excess]] -= 1
     m.setflags(write=False)
     return m
 

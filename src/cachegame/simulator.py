@@ -18,12 +18,16 @@ from .model import GameConfig, Placement, quantize_placement
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregate of a simulation run; the mean is in files per request."""
+    """Aggregate of a simulation run; the mean is in files per request.
+
+    packets holds the deployed per-file packet counts m the run served from.
+    """
 
     requests: int
     backhaul_fraction_mean: float
     backhaul_fraction_stderr: float
     per_coverage_counts: np.ndarray
+    packets: np.ndarray
 
     def __post_init__(self):
         counts = np.array(self.per_coverage_counts, dtype=np.int64)
@@ -69,4 +73,5 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
         backhaul_fraction_mean=mean,
         backhaul_fraction_stderr=stderr,
         per_coverage_counts=counts,
+        packets=m,
     )

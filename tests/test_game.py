@@ -148,6 +148,7 @@ class TestEquilibriumPlacement:
 
     def test_matches_lp_oracle_on_random_instances(self):
         rng = np.random.default_rng(300)
+        cases = []
         for k in range(300):
             n = int(rng.integers(2, 401))
             s = int(rng.integers(1, 5))
@@ -155,11 +156,19 @@ class TestEquilibriumPlacement:
             gamma = rng.dirichlet(np.ones(s))
             cache = float(rng.uniform(0.05, n - 0.05))
             alpha = [0.0, 1.0, float(rng.random())][k % 3]
-            cfg = make_config(alpha, probs, gamma, cache)
+            cases.append(make_config(alpha, probs, gamma, cache))
+        # tied popularities; and gamma_1 = 0, so the top segment weighs 0 in
+        # every file and the segments tie across files out of popularity order
+        cases.append(make_config(0.4, [0.1, 0.3, 0.1, 0.3, 0.2], [0.5, 0.3, 0.2], 2.3))
+        cases.append(make_config(0.3, [0.1, 0.2, 0.7, 0.0], [0.0, 0.5, 0.5], 2.7))
+        for k, cfg in enumerate(cases):
             _, oracle = lp_equilibrium(cfg, tol=1e-9)
             res = equilibrium_placement(cfg)
-            assert abs(res.rates.r_total - oracle) <= 1e-12, (k, n, s, alpha, cache)
+            assert abs(res.rates.r_total - oracle) <= 1e-12, (k, cfg.alpha, cfg.cache_size)
             assert evaluate(res.q_star, cfg) == res.rates, k
+            # non-increasing in popularity order, ties in index order
+            by_popularity = np.argsort(-cfg.popularity.probs, kind="stable")
+            assert np.all(np.diff(res.q_star.q[by_popularity]) <= 0.0), k
 
     def test_lp_oracle_limit_just_past_a_segment_boundary(self):
         # with M = N/2 + 1e-9 the oracle at tolerance 1e-9 can stop up to

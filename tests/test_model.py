@@ -40,17 +40,17 @@ class TestZipfPopularity:
 class TestQuantizePlacement:
     def test_exact_multiples(self):
         pl = Placement(q=[1.0, 0.5, 0.0], cache_size=1.5)
-        assert quantize_placement(pl, 4).tolist() == [4, 2, 0]
+        assert quantize_placement(pl, 4, zipf_popularity(3, 1.0)).tolist() == [4, 2, 0]
 
     def test_exact_third(self):
         pl = Placement(q=[1 / 3], cache_size=1.0)
-        assert quantize_placement(pl, 3).tolist() == [1]
+        assert quantize_placement(pl, 3, zipf_popularity(1, 1.0)).tolist() == [1]
 
     def test_capacity_repair(self):
         # rounding puts 5 packets on each file (15 total) but capacity is 14;
         # the least popular file (highest index) gives one back
         pl = Placement(q=[0.49, 0.49, 0.49], cache_size=1.47)
-        m = quantize_placement(pl, 10)
+        m = quantize_placement(pl, 10, zipf_popularity(3, 1.0))
         assert m.tolist() == [5, 5, 4]
         assert m.sum() <= 14
         assert np.all(np.abs(m - 4.9) <= 1.1)
@@ -64,7 +64,8 @@ class TestQuantizePlacement:
 
     def test_rejects_zero_fragments(self):
         with pytest.raises(ValueError):
-            quantize_placement(Placement(q=[0.5], cache_size=1.0), 0)
+            quantize_placement(Placement(q=[0.5], cache_size=1.0), 0,
+                               zipf_popularity(1, 1.0))
 
     def test_never_exceeds_capacity_randomized(self):
         rng = np.random.default_rng(11)
@@ -73,7 +74,8 @@ class TestQuantizePlacement:
             q = rng.random(size)
             cache = q.sum() + rng.random() * 2
             n = int(rng.integers(1, 60))
-            m = quantize_placement(Placement(q=q, cache_size=cache), n)
+            m = quantize_placement(Placement(q=q, cache_size=cache), n,
+                                   zipf_popularity(size, 1.0))
             assert m.sum() <= int(np.floor(cache * n + 1e-9))
             assert np.all(np.abs(m / n - q) <= 2.0 / n + 1e-12)
 
@@ -83,8 +85,9 @@ class TestQuantizePlacement:
             q = rng.random(8)
             pl = Placement(q=q, cache_size=q.sum() + 0.5)
             n = int(rng.integers(1, 40))
-            m = quantize_placement(pl, n)
-            again = quantize_placement(Placement(q=m / n, cache_size=pl.cache_size), n)
+            pop = zipf_popularity(8, 1.0)
+            m = quantize_placement(pl, n, pop)
+            again = quantize_placement(Placement(q=m / n, cache_size=pl.cache_size), n, pop)
             assert np.array_equal(m, again)
 
 

@@ -72,6 +72,7 @@ class TestSimulate:
         pl = Placement(q=q, cache_size=q.sum() + 0.01)
         report = simulate(pl, cfg, n, 100_000, seed=61)
         m = quantize_placement(pl, n, cfg.popularity)
+        assert np.array_equal(report.packets, m)
         expected = evaluate(Placement(q=m / n, cache_size=pl.cache_size), cfg).r_total
         tol = max(4 * report.backhaul_fraction_stderr, 1e-12)
         assert abs(report.backhaul_fraction_mean - expected) <= tol
