@@ -1,7 +1,9 @@
 """Command-line driver: builds instances from a config file and emits CSV.
 
 Subcommands: gamma, placement, sweep-alpha, sweep-r, sweep-cache,
-thresholds, simulate.  Exit codes: 0 success, 2 invalid configuration.
+thresholds, simulate.  A grid is 'a:b:step' (a, a + step, ... up to and
+never past b) or a comma list; it must be sorted and finite.  Exit codes:
+0 success, 2 invalid configuration (a NaN or infinite value included).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -30,14 +33,19 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be 'a:b:step', got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        # written so that NaN and infinite bounds fail the test
+        if not (-math.inf < start <= stop < math.inf and step > 0):
             raise ValueError(f"bad grid range {text!r}")
-        count = int(round((stop - start) / step))
-        grid = [round(start + k * step, 12) for k in range(count + 1)]
+        # the tolerance keeps a stop a whole number of steps away (0:0.3:0.1);
+        # min() pulls back a last point that the tolerance left just past stop
+        count = math.floor((stop - start) / step + 1e-9)
+        grid = [min(round(start + k * step, 12), stop) for k in range(count + 1)]
     else:
         grid = [float(p) for p in text.split(",") if p.strip()]
     if not grid:
         raise ValueError("grid must be non-empty")
+    if not all(math.isfinite(v) for v in grid):
+        raise ValueError(f"grid entries must be finite, got {text!r}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted")
     return grid
@@ -47,53 +55,50 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def build_geometry(cfg: dict) -> geometry.NetworkGeometry:
-    return geometry.NetworkGeometry(
+RATE_HEADER = ("R_total", "R_legit", "R_adv", "j_star")
+
+
+def _rate_cells(res: game.EquilibriumResult) -> list[str]:
+    """The RATE_HEADER cells of one equilibrium; j_star is 1-based."""
+    return [_fmt(res.rates.r_total), _fmt(res.rates.r_legit),
+            _fmt(res.rates.r_adv), str(res.j_star + 1)]
+
+
+def _coverage_areas(cfg: dict, samples: int) -> geometry.CoverageAreas:
+    geom = geometry.NetworkGeometry(
         mbs_radius=cfg["mbs_radius_m"],
         sbs_spacing=cfg["sbs_spacing_m"],
         sbs_radius=cfg["sbs_radius_m"],
         user_density=cfg["user_density_per_m2"],
     )
+    return geometry.coverage_areas_unit_cell(geom, samples, cfg["seed"])
 
 
 def build_game_config(cfg: dict, samples: int) -> GameConfig:
-    geom = build_geometry(cfg)
-    areas = geometry.coverage_areas_unit_cell(geom, samples, cfg["seed"])
     return GameConfig(
         alpha=cfg["alpha"],
         library=LibraryConfig(num_files=cfg["num_files"]),
         popularity=zipf_popularity(cfg["num_files"], cfg["zipf_exponent"]),
-        coverage=geometry.coverage_profile(areas),
+        coverage=geometry.coverage_profile(_coverage_areas(cfg, samples)),
         cache_size=cfg["cache_size"],
     )
 
 
 def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
-    geom = build_geometry(cfg)
-    areas = geometry.coverage_areas_unit_cell(geom, args.samples, cfg["seed"])
+    areas = _coverage_areas(cfg, args.samples)
     gamma = geometry.coverage_profile(areas).gamma
     rows = [[str(d + 1), _fmt(areas.areas[d]), _fmt(gamma[d])]
             for d in range(gamma.size)]
     return rows, ["d", "area_m2", "gamma"]
 
 
-def _placement_header(num_files: int) -> list[str]:
-    return ["alpha", "R_total", "R_legit", "R_adv", "j_star"] + [
-        f"q_{j}" for j in range(1, num_files + 1)
-    ]
-
-
-def _placement_row(alpha: float, res: game.EquilibriumResult) -> list[str]:
-    return [
-        _fmt(alpha), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-        _fmt(res.rates.r_adv), str(res.j_star + 1),
-    ] + [_fmt(v) for v in res.q_star.q]
-
-
 def cmd_placement(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     res = game.equilibrium_placement(gcfg)
-    return [_placement_row(gcfg.alpha, res)], _placement_header(gcfg.library.num_files)
+    row = [_fmt(gcfg.alpha), *_rate_cells(res), *[_fmt(v) for v in res.q_star.q]]
+    header = ["alpha", *RATE_HEADER,
+              *[f"q_{j}" for j in range(1, gcfg.library.num_files + 1)]]
+    return [row], header
 
 
 def cmd_sweep_alpha(cfg: dict, args):
@@ -105,13 +110,11 @@ def cmd_sweep_alpha(cfg: dict, args):
             else game.equilibrium_placement(gcfg.with_alpha(0.0))).rates
     uniform = game.worst_case_rate(gcfg)
     rows = [[
-        _fmt(alpha), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-        _fmt(res.rates.r_adv), str(res.j_star + 1),
+        _fmt(alpha), *_rate_cells(res),
         _fmt(rate.total_rate(alpha, base.r_legit, base.r_adv).r_total),
         _fmt(uniform),
     ] for alpha, res in zip(alphas, results)]
-    header = ["alpha", "R_total", "R_legit", "R_adv", "j_star",
-              "R_ref_noadv", "R_ref_uniform"]
+    header = ["alpha", *RATE_HEADER, "R_ref_noadv", "R_ref_uniform"]
     return rows, header
 
 
@@ -121,13 +124,9 @@ def cmd_sweep_r(cfg: dict, args):
         sub = dict(cfg, sbs_radius_m=r)
         gcfg = build_game_config(sub, args.samples)
         res = game.equilibrium_placement(gcfg)
-        rows.append([
-            _fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
-            _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-            _fmt(res.rates.r_adv), str(res.j_star + 1),
-        ])
-    header = ["r_m", "gamma_1", "gamma_2", "gamma_3", "gamma_4",
-              "R_total", "R_legit", "R_adv", "j_star"]
+        rows.append([_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
+                     *_rate_cells(res)])
+    header = ["r_m", "gamma_1", "gamma_2", "gamma_3", "gamma_4", *RATE_HEADER]
     return rows, header
 
 
@@ -136,11 +135,8 @@ def cmd_sweep_cache(cfg: dict, args):
     rows = []
     for cache in args.cache_grid:
         res = game.equilibrium_placement(dataclasses.replace(gcfg, cache_size=cache))
-        rows.append([
-            _fmt(cache), _fmt(res.rates.r_total), _fmt(res.rates.r_legit),
-            _fmt(res.rates.r_adv), str(res.j_star + 1),
-        ])
-    header = ["cache_size", "R_total", "R_legit", "R_adv", "j_star"]
+        rows.append([_fmt(cache), *_rate_cells(res)])
+    header = ["cache_size", *RATE_HEADER]
     return rows, header
 
 

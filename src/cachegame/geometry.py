@@ -29,12 +29,10 @@ class NetworkGeometry:
     user_density: float
 
     def __post_init__(self):
-        if self.mbs_radius <= 0:
-            raise ValueError("mbs_radius must be positive")
-        if self.sbs_spacing <= 0:
-            raise ValueError("sbs_spacing must be positive")
-        if self.user_density <= 0:
-            raise ValueError("user_density must be positive")
+        for name in ("mbs_radius", "sbs_spacing", "user_density"):
+            # written so that NaN fails the test
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         lo = self.sbs_spacing / math.sqrt(2.0)
         if not lo - 1e-9 <= self.sbs_radius <= self.sbs_spacing + 1e-9:
             raise ValueError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,10 +13,14 @@ PROB_TOL = 1e-9
 CAPACITY_TOL = 1e-6
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
+def _probability_vector(values, name: str) -> np.ndarray:
+    """`values` as a read-only probability vector; ValueError naming `name` if not."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional vector")
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a non-empty one-dimensional vector")
+    # written so that a NaN entry fails the test
+    if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= PROB_TOL):
+        raise ValueError(f"{name} must be non-negative and sum to 1")
     arr.setflags(write=False)
     return arr
 
@@ -38,14 +43,7 @@ class PopularityDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _frozen_array(self.probs, "probs")
-        object.__setattr__(self, "probs", probs)
-        if probs.size < 1:
-            raise ValueError("popularity needs at least one file")
-        if np.any(probs < 0):
-            raise ValueError("popularity entries must be non-negative")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError("popularity must sum to 1")
+        object.__setattr__(self, "probs", _probability_vector(self.probs, "popularity"))
 
     @property
     def num_files(self) -> int:
@@ -59,14 +57,7 @@ class CoverageProfile:
     gamma: np.ndarray
 
     def __post_init__(self):
-        gamma = _frozen_array(self.gamma, "gamma")
-        object.__setattr__(self, "gamma", gamma)
-        if gamma.size < 1:
-            raise ValueError("coverage profile needs at least one entry")
-        if np.any(gamma < 0):
-            raise ValueError("coverage probabilities must be non-negative")
-        if abs(gamma.sum() - 1.0) > PROB_TOL:
-            raise ValueError("coverage probabilities must sum to 1")
+        object.__setattr__(self, "gamma", _probability_vector(self.gamma, "gamma"))
 
     @property
     def max_coverage(self) -> int:
@@ -84,13 +75,13 @@ class Placement:
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("placement must be a non-empty vector")
-        if np.any(q < -PROB_TOL) or np.any(q > 1.0 + PROB_TOL):
+        if not np.all((q >= -PROB_TOL) & (q <= 1.0 + PROB_TOL)):
             raise ValueError("placement entries must lie in [0, 1]")
         # tolerate solver-level rounding at the box boundary
         q = np.clip(q, 0.0, 1.0)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        if self.cache_size <= 0:
+        if not self.cache_size > 0:
             raise ValueError("cache size must be positive")
         if q.sum() > self.cache_size + CAPACITY_TOL:
             raise ValueError("placement exceeds cache capacity")
@@ -140,8 +131,8 @@ def zipf_popularity(num_files: int, exponent: float) -> PopularityDist:
     """Zipf popularity p_j proportional to 1/j^z; z = 0 gives a uniform demand."""
     if num_files < 1:
         raise ValueError("num_files must be >= 1")
-    if exponent < 0:
-        raise ValueError("Zipf exponent must be non-negative")
+    if not 0 <= exponent < math.inf:
+        raise ValueError("Zipf exponent must be finite and non-negative")
     weights = 1.0 / np.arange(1, num_files + 1, dtype=float) ** exponent
     return PopularityDist(probs=weights / weights.sum())
 
@@ -172,19 +163,6 @@ def quantize_placement(placement: Placement, n: int,
     return m
 
 
-CONFIG_KEYS = {
-    "num_files": int,
-    "zipf_exponent": float,
-    "cache_size": float,
-    "alpha": float,
-    "fragments_per_file": int,
-    "mbs_radius_m": float,
-    "sbs_spacing_m": float,
-    "sbs_radius_m": float,
-    "user_density_per_m2": float,
-    "seed": int,
-}
-
 DEFAULT_CONFIG = {
     "num_files": 200,
     "zipf_exponent": 0.7,
@@ -197,6 +175,9 @@ DEFAULT_CONFIG = {
     "user_density_per_m2": 0.05,
     "seed": 1,
 }
+
+# each key's type is its default's: keep float defaults written as floats
+CONFIG_KEYS = {key: type(value) for key, value in DEFAULT_CONFIG.items()}
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:

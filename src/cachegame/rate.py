@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoverageProfile, Placement, PopularityDist, RateBreakdown, PROB_TOL
+from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
+                    PROB_TOL, _probability_vector)
 
 
 @dataclass(frozen=True)
@@ -21,13 +22,7 @@ class AdversaryStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ValueError("strategy must be a non-empty vector")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError("strategy must be a probability distribution")
+        object.__setattr__(self, "probs", _probability_vector(self.probs, "strategy"))
 
     @classmethod
     def point_mass(cls, num_files: int, target: int) -> "AdversaryStrategy":

@@ -39,6 +39,24 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("3,2,1")
 
+    @pytest.mark.parametrize("text, grid", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("45:60:10", [45.0, 55.0]),
+        ("10:40:18", [10.0, 28.0]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0:1:0.33333333334", [0.0, 0.33333333334, 0.66666666668, 1.0]),
+    ])
+    def test_range_never_passes_its_stop(self, text, grid):
+        assert parse_grid(text) == grid
+
+    @pytest.mark.parametrize("text", [
+        "0,nan,1", "0,1,inf", "nan", "nan:1:0.5", "0:inf:0.5", "-inf:0:0.5",
+        "0:1:nan",
+    ])
+    def test_rejects_non_finite_entries(self, text):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+
     def test_string_defaults_are_parsed(self):
         # argparse applies `type` to a string default
         args = build_parser().parse_args(["sweep-alpha"])
@@ -163,6 +181,21 @@ class TestErrors:
     def test_invalid_alpha_grid(self, config_path):
         assert main(["sweep-alpha", "--config", str(config_path),
                      "--alpha-grid", "0:2:0.5"]) == 2
+
+    def test_grid_step_not_dividing_the_range(self, config_path, capsys):
+        assert main(["sweep-alpha", "--config", str(config_path), "--samples",
+                     "10000", "--alpha-grid", "0:1:0.6"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.000000", "0.600000"]
+
+    @pytest.mark.parametrize("key, name", [
+        ("mbs_radius_m", "mbs_radius"), ("sbs_spacing_m", "sbs_spacing"),
+        ("user_density_per_m2", "user_density"), ("zipf_exponent", "Zipf exponent"),
+    ])
+    def test_nan_override_names_the_input(self, config_path, capsys, key, name):
+        assert main(["placement", "--config", str(config_path), "--samples",
+                     "10000", f"--{key}", "nan"]) == 2
+        assert f"error: {name} " in capsys.readouterr().err
 
 
 class TestSolveCounts:

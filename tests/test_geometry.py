@@ -51,6 +51,14 @@ class TestNetworkGeometry:
             NetworkGeometry(mbs_radius=500, sbs_spacing=60, sbs_radius=45,
                             user_density=0)
 
+    @pytest.mark.parametrize("field", ["mbs_radius", "sbs_spacing", "user_density"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields(self, field, value):
+        fields = dict(mbs_radius=500.0, sbs_spacing=60.0, sbs_radius=45.0,
+                      user_density=0.05)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            NetworkGeometry(**{**fields, field: value})
+
 
 class TestCoverageAreas:
     def test_buckets_partition_the_cell(self):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cachegame import (LibraryConfig, Placement, PopularityDist,
-                       quantize_placement, zipf_popularity)
-from cachegame.model import load_config
+from cachegame import (AdversaryStrategy, CoverageProfile, LibraryConfig,
+                       Placement, PopularityDist, quantize_placement,
+                       zipf_popularity)
+from cachegame.model import CONFIG_KEYS, load_config
 
 # head probability of the Zipf law for N=200, z=0.7, frozen from a
 # 50-digit summation of the normalizing series (mpmath)
@@ -26,6 +27,8 @@ class TestZipfPopularity:
             zipf_popularity(0, 0.7)
         with pytest.raises(ValueError):
             zipf_popularity(10, -0.1)
+        with pytest.raises(ValueError):
+            zipf_popularity(10, float("nan"))
 
     @pytest.mark.parametrize("n,z", [(10, 0.0), (1000, 0.7), (100_000, 3.0)])
     def test_sums_to_one(self, n, z):
@@ -103,6 +106,10 @@ class TestTypes:
             Placement(q=[1.2], cache_size=2.0)
         with pytest.raises(ValueError):
             Placement(q=[0.9, 0.9], cache_size=1.0)
+        with pytest.raises(ValueError):
+            Placement(q=[np.nan], cache_size=1.0)
+        with pytest.raises(ValueError):
+            Placement(q=[0.5], cache_size=np.nan)
 
     def test_library_validation(self):
         with pytest.raises(ValueError):
@@ -114,7 +121,34 @@ class TestTypes:
             p.probs[0] = 0.9
 
 
+@pytest.mark.parametrize("cls, field", [
+    (PopularityDist, "probs"), (CoverageProfile, "gamma"), (AdversaryStrategy, "probs"),
+], ids=["popularity", "coverage", "strategy"])
+class TestProbabilityVector:
+    def test_accepts_a_distribution_read_only(self, cls, field):
+        arr = getattr(cls(**{field: [0.25, 0.75]}), field)
+        assert arr.tolist() == [0.25, 0.75]
+        assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("values", [
+        [np.nan], [1.0, np.nan], [1.2, -0.2], [0.5, 0.4], [], [[0.5, 0.5]],
+    ], ids=["nan", "nan_after_mass", "negative", "sum_below_one", "empty", "2d"])
+    def test_rejects(self, cls, field, values):
+        with pytest.raises(ValueError):
+            cls(**{field: values})
+
+
 class TestConfigFile:
+    def test_schema_types_and_order(self):
+        # the schema is read off the defaults: a default written as `20`
+        # would silently turn cache_size into an int key
+        assert list(CONFIG_KEYS.items()) == [
+            ("num_files", int), ("zipf_exponent", float), ("cache_size", float),
+            ("alpha", float), ("fragments_per_file", int), ("mbs_radius_m", float),
+            ("sbs_spacing_m", float), ("sbs_radius_m", float),
+            ("user_density_per_m2", float), ("seed", int),
+        ]
+
     def test_defaults_without_file(self):
         cfg = load_config()
         assert cfg["num_files"] == 200
