@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import game, geometry, rate, simulator
+from . import game, geometry, simulator
 from .model import (CONFIG_KEYS, GameConfig, LibraryConfig, Placement,
                     load_config, zipf_popularity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+# the most points an 'a:b:step' grid may have
+MAX_GRID_POINTS = 1_000_000
 
 
 def parse_grid(text: str) -> list[float]:
@@ -38,7 +40,10 @@ def parse_grid(text: str) -> list[float]:
             raise ValueError(f"bad grid range {text!r}")
         # the tolerance keeps a stop a whole number of steps away (0:0.3:0.1);
         # min() pulls back a last point that the tolerance left just past stop
-        count = math.floor((stop - start) / step + 1e-9)
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        count = math.floor(steps)
         grid = [min(round(start + k * step, 12), stop) for k in range(count + 1)]
     else:
         grid = [float(p) for p in text.split(",") if p.strip()]
@@ -107,11 +112,11 @@ def cmd_sweep_alpha(cfg: dict, args):
     results = game.sweep_equilibria(gcfg, alphas)
     # R_ref_noadv rates the alpha = 0 equilibrium, a grid point when it starts at 0
     base = (results[0] if alphas[0] == 0
-            else game.equilibrium_placement(gcfg.with_alpha(0.0))).rates
+            else game.equilibrium_placement(gcfg.with_alpha(0.0))).q_star
     uniform = game.worst_case_rate(gcfg)
     rows = [[
         _fmt(alpha), *_rate_cells(res),
-        _fmt(rate.total_rate(alpha, base.r_legit, base.r_adv).r_total),
+        _fmt(game.evaluate(base, gcfg.with_alpha(alpha)).r_total),
         _fmt(uniform),
     ] for alpha, res in zip(alphas, results)]
     header = ["alpha", *RATE_HEADER, "R_ref_noadv", "R_ref_uniform"]
@@ -126,7 +131,8 @@ def cmd_sweep_r(cfg: dict, args):
         res = game.equilibrium_placement(gcfg)
         rows.append([_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
                      *_rate_cells(res)])
-    header = ["r_m", "gamma_1", "gamma_2", "gamma_3", "gamma_4", *RATE_HEADER]
+    header = ["r_m", *[f"gamma_{d}" for d in range(1, geometry.MAX_COVERAGE + 1)],
+              *RATE_HEADER]
     return rows, header
 
 
@@ -143,11 +149,12 @@ def cmd_sweep_cache(cfg: dict, args):
 def cmd_thresholds(cfg: dict, args):
     gcfg = build_game_config(cfg, args.samples)
     alphas = args.alpha_grid
-    detection = game.detect_thresholds(gcfg, alphas)
+    results = game.sweep_equilibria(gcfg, alphas)
+    detection = game.detect_thresholds(gcfg, alphas, results)
     q_ref = game.no_adversary_placement(gcfg).q
     q_uni = Placement.uniform(gcfg.library.num_files, gcfg.cache_size).q
     rows = []
-    for alpha, res in zip(alphas, detection.results):
+    for alpha, res in zip(alphas, results):
         q = res.q_star.q
         nonzero = np.nonzero(q > 1e-9)[0]
         q_mu = q[nonzero[-1]] if nonzero.size else 0.0
@@ -158,14 +165,9 @@ def cmd_thresholds(cfg: dict, args):
         ])
     header = ["alpha", "q_min", "q_max", "q_mu",
               "dist_noadv", "dist_uniform", "R_total"]
-    if detection.alpha_thr_1 is not None:
-        print(f"alpha_thr_1 = {detection.alpha_thr_1:.6f}")
-    else:
-        print("alpha_thr_1: no branching on the grid")
-    if detection.alpha_thr_2 is not None:
-        print(f"alpha_thr_2 = {detection.alpha_thr_2:.6f}")
-    else:
-        print("alpha_thr_2: no gathering on the grid")
+    for name, thr, event in (("alpha_thr_1", detection.alpha_thr_1, "branching"),
+                             ("alpha_thr_2", detection.alpha_thr_2, "gathering")):
+        print(f"{name}: no {event} on the grid" if thr is None else f"{name} = {_fmt(thr)}")
     return rows, header
 
 
@@ -243,17 +245,17 @@ def main(argv: list[str] | None = None) -> int:
         if any(a < 0 or a > 1 for a in args.alpha_grid):
             raise ValueError("alpha grid must lie in [0, 1]")
         rows, header = COMMANDS[args.command](cfg, args)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        if args.out is None:
+            sys.stdout.write(buf.getvalue())
+        else:
+            args.out.write_text(buf.getvalue())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if args.out is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        args.out.write_text(buf.getvalue())
     return EXIT_OK
 
 

@@ -52,7 +52,7 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Regime boundaries of the equilibrium placement over an alpha grid.
+    """Regime boundaries found in the equilibrium solves of an alpha grid.
 
     alpha_thr_1: first grid alpha where q*(alpha) leaves the no-adversary
     optimum; alpha_thr_2: first grid alpha where q*(alpha) reaches the
@@ -61,7 +61,6 @@ class ThresholdResult:
 
     alpha_thr_1: float | None
     alpha_thr_2: float | None
-    results: tuple[EquilibriumResult, ...]
 
 
 def best_response(placement: Placement) -> tuple[int, AdversaryStrategy]:
@@ -73,12 +72,17 @@ def best_response(placement: Placement) -> tuple[int, AdversaryStrategy]:
     return j_star, AdversaryStrategy.point_mass(placement.num_files, j_star)
 
 
+def _rate(placement: Placement, cfg: GameConfig) -> tuple[int, RateBreakdown]:
+    """evaluate, plus the adversaries' target j_star."""
+    j_star, strategy = best_response(placement)
+    return j_star, total_rate(cfg.alpha,
+                              legit_rate(placement, cfg.popularity, cfg.coverage),
+                              adversary_rate(placement, cfg.coverage, strategy))
+
+
 def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     """Rates of a placement at cfg.alpha, the adversaries best-responding."""
-    _, strategy = best_response(placement)
-    return total_rate(cfg.alpha,
-                      legit_rate(placement, cfg.popularity, cfg.coverage),
-                      adversary_rate(placement, cfg.coverage, strategy))
+    return _rate(placement, cfg)[1]
 
 
 def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
@@ -131,15 +135,9 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     q = _greedy_placement(cfg.popularity.probs, cfg.coverage.gamma, cfg.alpha,
                           cfg.cache_size)
     placement = Placement(q=q, cache_size=cfg.cache_size)
-    j_star, strategy = best_response(placement)
-    r_l = legit_rate(placement, cfg.popularity, cfg.coverage)
-    r_a = adversary_rate(placement, cfg.coverage, strategy)
-    return EquilibriumResult(
-        q_star=placement,
-        j_star=j_star,
-        rates=total_rate(cfg.alpha, r_l, r_a),
-        solver_status="optimal",
-    )
+    j_star, rates = _rate(placement, cfg)
+    return EquilibriumResult(q_star=placement, j_star=j_star, rates=rates,
+                             solver_status="optimal")
 
 
 def no_adversary_placement(cfg: GameConfig) -> Placement:
@@ -171,13 +169,14 @@ def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
 
 
 def detect_thresholds(cfg: GameConfig, alpha_grid,
-                      results: list[EquilibriumResult] | None = None) -> ThresholdResult:
+                      results: list[EquilibriumResult]) -> ThresholdResult:
     """Locate the branching and gathering points of the placement trajectory.
 
-    alpha_thr_1 is the smallest grid alpha whose equilibrium placement moves
-    more than DISTANCE_TOL (infinity norm) away from the no-adversary
-    optimum; alpha_thr_2 the smallest grid alpha within DISTANCE_TOL of the
-    uniform placement.  `results` may carry precomputed solves for the grid.
+    `results` are the equilibrium solves of the grid, one per alpha, for
+    example from sweep_equilibria.  alpha_thr_1 is the smallest grid alpha
+    whose placement moves more than DISTANCE_TOL (infinity norm) away from
+    the no-adversary optimum; alpha_thr_2 the smallest grid alpha within
+    DISTANCE_TOL of the uniform placement.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     if alphas.size == 0:
@@ -186,9 +185,7 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
         raise ValueError("alpha grid must be sorted")
     if alphas[0] < 0 or alphas[-1] > 1:
         raise ValueError("alpha grid must lie in [0, 1]")
-    if results is None:
-        results = sweep_equilibria(cfg, alphas)
-    elif len(results) != alphas.size:
+    if len(results) != alphas.size:
         raise ValueError("results do not match the alpha grid")
     q_ref = no_adversary_placement(cfg).q
     q_uni = Placement.uniform(cfg.library.num_files, cfg.cache_size).q
@@ -199,4 +196,4 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
             thr_1 = float(a)
         if thr_2 is None and np.max(np.abs(q - q_uni)) <= DISTANCE_TOL:
             thr_2 = float(a)
-    return ThresholdResult(alpha_thr_1=thr_1, alpha_thr_2=thr_2, results=tuple(results))
+    return ThresholdResult(alpha_thr_1=thr_1, alpha_thr_2=thr_2)

@@ -38,16 +38,25 @@ class LibraryConfig:
 
 @dataclass(frozen=True)
 class PopularityDist:
-    """Request probabilities of the legitimate users over the file library."""
+    """Request distribution over the library: the popularity or an adversary strategy."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _probability_vector(self.probs, "popularity"))
+        object.__setattr__(self, "probs",
+                           _probability_vector(self.probs, "request distribution"))
 
     @property
     def num_files(self) -> int:
         return self.probs.size
+
+    @classmethod
+    def point_mass(cls, num_files: int, target: int) -> "PopularityDist":
+        if not 0 <= target < num_files:
+            raise ValueError("target file out of range")
+        probs = np.zeros(num_files)
+        probs[target] = 1.0
+        return cls(probs=probs)
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,9 @@ def zipf_popularity(num_files: int, exponent: float) -> PopularityDist:
         raise ValueError("num_files must be >= 1")
     if not 0 <= exponent < math.inf:
         raise ValueError("Zipf exponent must be finite and non-negative")
-    weights = 1.0 / np.arange(1, num_files + 1, dtype=float) ** exponent
+    # a large exponent overflows j^z to inf, which gives the file weight 0
+    with np.errstate(over="ignore"):
+        weights = 1.0 / np.arange(1, num_files + 1, dtype=float) ** exponent
     return PopularityDist(probs=weights / weights.sum())
 
 

@@ -7,30 +7,13 @@ Rates are normalized per request and per file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
-                    PROB_TOL, _probability_vector)
+                    PROB_TOL)
 
-
-@dataclass(frozen=True)
-class AdversaryStrategy:
-    """Request distribution induced by the adversary users."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _probability_vector(self.probs, "strategy"))
-
-    @classmethod
-    def point_mass(cls, num_files: int, target: int) -> "AdversaryStrategy":
-        if not 0 <= target < num_files:
-            raise ValueError("target file out of range")
-        probs = np.zeros(num_files)
-        probs[target] = 1.0
-        return cls(probs=probs)
+# the adversaries' request distribution; the best response is a point mass
+AdversaryStrategy = PopularityDist
 
 
 def deficit_rate(q: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> float:

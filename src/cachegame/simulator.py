@@ -49,8 +49,6 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
     """
     if num_requests < 1:
         raise ValueError("need at least one request")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     m = quantize_placement(placement, n, cfg.popularity)
     j_star, _ = best_response(Placement(q=m / n, cache_size=placement.cache_size))
@@ -59,9 +57,8 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
 
     is_adv = rng.random(num_requests) < cfg.alpha
     files = np.full(num_requests, j_star, dtype=np.int64)
-    num_legit = int(np.count_nonzero(~is_adv))
-    if num_legit:
-        files[~is_adv] = rng.choice(num_files, size=num_legit, p=cfg.popularity.probs)
+    files[~is_adv] = rng.choice(num_files, size=int(np.count_nonzero(~is_adv)),
+                                p=cfg.popularity.probs)
     coverage = rng.choice(np.arange(1, s + 1), size=num_requests, p=cfg.coverage.gamma)
 
     cost = np.maximum(n - coverage * m[files], 0) / n

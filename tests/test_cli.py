@@ -57,6 +57,21 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid(text)
 
+    @pytest.mark.parametrize("text", ["0:1", "0:1:0.5:2", ","])
+    def test_rejects_malformed_grids(self, text):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+
+    @pytest.mark.parametrize("text", [
+        "0:1e300:1e-300", "0:1:1e-320", "0:1000000:1",
+    ])
+    def test_caps_the_number_of_points(self, text):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            parse_grid(text)
+
+    def test_largest_grid(self):
+        assert len(parse_grid("0:999999:1")) == cli.MAX_GRID_POINTS
+
     def test_string_defaults_are_parsed(self):
         # argparse applies `type` to a string default
         args = build_parser().parse_args(["sweep-alpha"])
@@ -155,6 +170,15 @@ class TestThresholds:
         assert float(last[1]) == pytest.approx(uniform, abs=1e-4)
         assert float(last[2]) == pytest.approx(uniform, abs=1e-4)
 
+    def test_one_point_grid_has_no_thresholds(self, config_path, tmp_path, capsys):
+        assert main(["thresholds", "--config", str(config_path), "--out",
+                     str(tmp_path / "thr.csv"), "--samples", "10000",
+                     "--alpha-grid", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "alpha_thr_1: no branching on the grid",
+            "alpha_thr_2: no gathering on the grid",
+        ]
+
 
 class TestSimulate:
     def test_z_scores_small(self, config_path, tmp_path):
@@ -196,6 +220,12 @@ class TestErrors:
         assert main(["placement", "--config", str(config_path), "--samples",
                      "10000", f"--{key}", "nan"]) == 2
         assert f"error: {name} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no_dir", "a_dir"])
+    def test_unwritable_out(self, config_path, tmp_path, capsys, out):
+        assert main(["gamma", "--config", str(config_path), "--samples", "10000",
+                     "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSolveCounts:

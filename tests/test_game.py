@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -208,6 +209,25 @@ class TestEquilibriumPlacement:
              "import cachegame, sys; assert 'scipy' not in sys.modules"],
             check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
+    def test_layering(self):
+        def imports(module):
+            """(module, name) pairs a cachegame module imports, read with ast."""
+            path = Path(__file__).resolve().parent.parent / "src" / "cachegame"
+            pairs = set()
+            for node in ast.walk(ast.parse((path / f"{module}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    pairs |= {(node.module.split(".")[-1], a.name) for a in node.names}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    # `import x.y` or `from . import y`
+                    pairs |= {(a.name.split(".")[-1], None) for a in node.names}
+            return pairs
+
+        # the CLI rates placements only through game
+        assert not [pair for pair in imports("cli") if pair[0] == "rate"]
+        # rate uses only model's public names
+        assert not [name for source, name in imports("rate")
+                    if source == "model" and name.startswith("_")]
+
 
 class TestNoAdversaryPlacement:
     def test_regular_structure(self):
@@ -262,17 +282,27 @@ class TestSweepAndThresholds:
         assert np.all(np.diff(values) >= -1e-9)
 
     def test_degenerate_grid_reports_absent(self):
-        detection = detect_thresholds(reference_config(), [0.0])
+        cfg = reference_config()
+        detection = detect_thresholds(cfg, [0.0], sweep_equilibria(cfg, [0.0]))
         assert detection.alpha_thr_1 is None
         assert detection.alpha_thr_2 is None
 
     def test_three_regimes_on_coarse_grid(self):
         cfg = reference_config()
         alphas = np.round(np.arange(0, 1.001, 0.05), 9)
-        detection = detect_thresholds(cfg, alphas)
+        detection = detect_thresholds(cfg, alphas, sweep_equilibria(cfg, alphas))
         assert detection.alpha_thr_1 is not None
         assert detection.alpha_thr_2 is not None
         assert 0.0 < detection.alpha_thr_1 < detection.alpha_thr_2 <= 1.0
+
+    @pytest.mark.parametrize("grid, match", [
+        ([], "non-empty"), ([0.5, 0.0], "sorted"), ([-0.1, 0.5], r"\[0, 1\]"),
+        ([0.5, 1.5], r"\[0, 1\]"), ([0.0, 0.5], "do not match"),
+    ], ids=["empty", "unsorted", "below_zero", "above_one", "results_length"])
+    def test_rejects_bad_grid_or_results(self, grid, match):
+        cfg = reference_config()
+        with pytest.raises(ValueError, match=match):
+            detect_thresholds(cfg, grid, sweep_equilibria(cfg, [0.0]))
 
     def test_sorting_improves_rate(self):
         rng = np.random.default_rng(23)

@@ -66,6 +66,10 @@ class TestCoverageAreas:
         assert areas.hits.sum() == areas.samples
         assert areas.areas.sum() == pytest.approx(areas.cell_area, rel=1e-12)
 
+    def test_rejects_negative_area(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            CoverageAreas(areas=[1.0, -0.5], cell_area=0.5)
+
     def test_seed_determinism(self):
         a = coverage_areas_unit_cell(geom(50.0), 200_000, seed=9)
         b = coverage_areas_unit_cell(geom(50.0), 200_000, seed=9)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cachegame import (AdversaryStrategy, CoverageProfile, LibraryConfig,
-                       Placement, PopularityDist, quantize_placement,
-                       zipf_popularity)
+from cachegame import (AdversaryStrategy, CoverageProfile, GameConfig,
+                       LibraryConfig, Placement, PopularityDist,
+                       quantize_placement, zipf_popularity)
 from cachegame.model import CONFIG_KEYS, load_config
 
 # head probability of the Zipf law for N=200, z=0.7, frozen from a
@@ -29,6 +29,13 @@ class TestZipfPopularity:
             zipf_popularity(10, -0.1)
         with pytest.raises(ValueError):
             zipf_popularity(10, float("nan"))
+
+    @pytest.mark.parametrize("z", [134.0, 150.0, 1e6])
+    def test_large_exponent_leaves_the_tail_at_zero(self, z):
+        # j^z overflows to inf for the tail files; that is weight 0, not a warning
+        p = zipf_popularity(200, z).probs
+        assert p[0] == 1.0 and p[-1] == 0.0
+        assert np.all(np.diff(p) <= 0)
 
     @pytest.mark.parametrize("n,z", [(10, 0.0), (1000, 0.7), (100_000, 3.0)])
     def test_sums_to_one(self, n, z):
@@ -69,6 +76,11 @@ class TestQuantizePlacement:
         with pytest.raises(ValueError):
             quantize_placement(Placement(q=[0.5], cache_size=1.0), 0,
                                zipf_popularity(1, 1.0))
+
+    def test_rejects_popularity_of_another_size(self):
+        with pytest.raises(ValueError, match="popularity size"):
+            quantize_placement(Placement(q=[0.5, 0.5], cache_size=1.0), 4,
+                               zipf_popularity(3, 1.0))
 
     def test_never_exceeds_capacity_randomized(self):
         rng = np.random.default_rng(11)
@@ -114,6 +126,17 @@ class TestTypes:
     def test_library_validation(self):
         with pytest.raises(ValueError):
             LibraryConfig(num_files=0)
+
+    @pytest.mark.parametrize("alpha, cache, num_probs, match", [
+        (-0.1, 2.0, 4, "alpha"), (1.1, 2.0, 4, "alpha"), (0.5, 0.0, 4, "0 < M < N"),
+        (0.5, 4.0, 4, "0 < M < N"), (0.5, 2.0, 5, "popularity size"),
+    ], ids=["alpha_below_zero", "alpha_above_one", "no_cache", "cache_holds_library",
+            "popularity_size"])
+    def test_game_config_validation(self, alpha, cache, num_probs, match):
+        with pytest.raises(ValueError, match=match):
+            GameConfig(alpha=alpha, library=LibraryConfig(num_files=4),
+                       popularity=zipf_popularity(num_probs, 0.7),
+                       coverage=CoverageProfile(gamma=[1.0]), cache_size=cache)
 
     def test_types_are_immutable(self):
         p = zipf_popularity(5, 1.0)
@@ -172,3 +195,17 @@ class TestConfigFile:
         path.write_text("radius = 3\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("line, match", [
+        ("num_files 50", "expected 'key = value'"), ("num_files = 2.5", "bad value"),
+    ], ids=["no_separator", "bad_value"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, match):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# header\n{line}\n")
+        with pytest.raises(ValueError, match=match) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:2: ")
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key 'radius'"):
+            load_config(overrides={"radius": 3.0})

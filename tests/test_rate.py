@@ -55,6 +55,17 @@ class TestAdversaryRate:
         assert adversary_rate(pl, cov, strat) == pytest.approx(0.8)
 
 
+    def test_strategy_of_another_size(self):
+        pl, _, cov = make_inputs([0.5, 0.5])
+        with pytest.raises(ValueError, match="strategy size"):
+            adversary_rate(pl, cov, AdversaryStrategy.point_mass(3, 0))
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_point_mass_target_out_of_range(self, target):
+        with pytest.raises(ValueError, match="out of range"):
+            AdversaryStrategy.point_mass(3, target)
+
+
 class TestTotalRate:
     @pytest.mark.parametrize("alpha,expected", [(0.0, 0.3), (1.0, 0.9), (0.5, 0.6)])
     def test_mixes_linearly(self, alpha, expected):
