@@ -3,8 +3,9 @@
 from .model import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                     PopularityDist, RateBreakdown, load_config,
                     quantize_placement, zipf_popularity)
-from .geometry import (CoverageAreas, NetworkGeometry, coverage_areas_unit_cell,
-                       coverage_profile, deployment_counts)
+from .geometry import (CoverageAreas, NetworkGeometry, coverage_areas,
+                       coverage_areas_unit_cell, coverage_profile,
+                       deployment_counts)
 from .rate import AdversaryStrategy, adversary_rate, legit_rate, total_rate
 from .game import (EquilibriumResult, ThresholdResult, best_response,
                    detect_thresholds, equilibrium_placement, evaluate,
@@ -15,7 +16,7 @@ __all__ = [
     "AdversaryStrategy", "CoverageAreas", "CoverageProfile",
     "EquilibriumResult", "GameConfig", "LibraryConfig", "NetworkGeometry",
     "Placement", "PopularityDist", "RateBreakdown", "SimReport",
-    "ThresholdResult", "adversary_rate", "best_response",
+    "ThresholdResult", "adversary_rate", "best_response", "coverage_areas",
     "coverage_areas_unit_cell", "coverage_profile", "deployment_counts",
     "detect_thresholds", "equilibrium_placement", "evaluate", "legit_rate",
     "load_config", "no_adversary_placement", "quantize_placement",

@@ -2,7 +2,8 @@
 
 Subcommands: gamma, placement, sweep-alpha, sweep-r, sweep-cache,
 thresholds, simulate.  A grid is 'a:b:step' (a, a + step, ... up to and
-never past b) or a comma list; it must be sorted and finite.  Exit codes:
+never past b) or a comma list; it must be sorted and finite.  The coverage
+profile is exact, so `--samples` is accepted but ignored.  Exit codes:
 0 success, 2 invalid configuration (a NaN or infinite value included).
 """
 
@@ -13,6 +14,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -69,28 +71,33 @@ def _rate_cells(res: game.EquilibriumResult) -> list[str]:
             _fmt(res.rates.r_adv), str(res.j_star + 1)]
 
 
-def _coverage_areas(cfg: dict, samples: int) -> geometry.CoverageAreas:
+def _coverage_areas(cfg: dict) -> geometry.CoverageAreas:
     geom = geometry.NetworkGeometry(
         mbs_radius=cfg["mbs_radius_m"],
         sbs_spacing=cfg["sbs_spacing_m"],
         sbs_radius=cfg["sbs_radius_m"],
         user_density=cfg["user_density_per_m2"],
     )
-    return geometry.coverage_areas_unit_cell(geom, samples, cfg["seed"])
+    return geometry.coverage_areas(geom)
 
 
-def build_game_config(cfg: dict, samples: int) -> GameConfig:
+def build_game_config(cfg: dict, samples: int | None = None) -> GameConfig:
+    """The game instance of a config; the coverage profile is exact.
+
+    `samples` is ignored: it only keeps working the callers that still pass
+    the Monte Carlo sample count the coverage profile used to need.
+    """
     return GameConfig(
         alpha=cfg["alpha"],
         library=LibraryConfig(num_files=cfg["num_files"]),
         popularity=zipf_popularity(cfg["num_files"], cfg["zipf_exponent"]),
-        coverage=geometry.coverage_profile(_coverage_areas(cfg, samples)),
+        coverage=geometry.coverage_profile(_coverage_areas(cfg)),
         cache_size=cfg["cache_size"],
     )
 
 
 def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
-    areas = _coverage_areas(cfg, args.samples)
+    areas = _coverage_areas(cfg)
     gamma = geometry.coverage_profile(areas).gamma
     rows = [[str(d + 1), _fmt(areas.areas[d]), _fmt(gamma[d])]
             for d in range(gamma.size)]
@@ -98,7 +105,7 @@ def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
 
 
 def cmd_placement(cfg: dict, args):
-    gcfg = build_game_config(cfg, args.samples)
+    gcfg = build_game_config(cfg)
     res = game.equilibrium_placement(gcfg)
     row = [_fmt(gcfg.alpha), *_rate_cells(res), *[_fmt(v) for v in res.q_star.q]]
     header = ["alpha", *RATE_HEADER,
@@ -107,7 +114,7 @@ def cmd_placement(cfg: dict, args):
 
 
 def cmd_sweep_alpha(cfg: dict, args):
-    gcfg = build_game_config(cfg, args.samples)
+    gcfg = build_game_config(cfg)
     alphas = args.alpha_grid
     results = game.sweep_equilibria(gcfg, alphas)
     # R_ref_noadv rates the alpha = 0 equilibrium, a grid point when it starts at 0
@@ -127,7 +134,7 @@ def cmd_sweep_r(cfg: dict, args):
     rows = []
     for r in args.r_grid:
         sub = dict(cfg, sbs_radius_m=r)
-        gcfg = build_game_config(sub, args.samples)
+        gcfg = build_game_config(sub)
         res = game.equilibrium_placement(gcfg)
         rows.append([_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
                      *_rate_cells(res)])
@@ -137,7 +144,7 @@ def cmd_sweep_r(cfg: dict, args):
 
 
 def cmd_sweep_cache(cfg: dict, args):
-    gcfg = build_game_config(cfg, args.samples)
+    gcfg = build_game_config(cfg)
     rows = []
     for cache in args.cache_grid:
         res = game.equilibrium_placement(dataclasses.replace(gcfg, cache_size=cache))
@@ -147,7 +154,7 @@ def cmd_sweep_cache(cfg: dict, args):
 
 
 def cmd_thresholds(cfg: dict, args):
-    gcfg = build_game_config(cfg, args.samples)
+    gcfg = build_game_config(cfg)
     alphas = args.alpha_grid
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
@@ -172,7 +179,7 @@ def cmd_thresholds(cfg: dict, args):
 
 
 def cmd_simulate(cfg: dict, args):
-    gcfg = build_game_config(cfg, args.samples)
+    gcfg = build_game_config(cfg)
     n = cfg["fragments_per_file"]
     rows = []
     for i, alpha in enumerate(args.alpha_grid):
@@ -184,8 +191,10 @@ def cmd_simulate(cfg: dict, args):
         analytic_mn = game.evaluate(
             Placement(q=report.packets / n, cache_size=gcfg.cache_size), sub).r_total
         stderr = report.backhaul_fraction_stderr
-        z = ((report.backhaul_fraction_mean - analytic_mn) / stderr
-             if stderr > 0 else 0.0)
+        gap = report.backhaul_fraction_mean - analytic_mn
+        # equal costs give stderr 0: only an exact match is then no deviation
+        z = (gap / stderr if stderr > 0
+             else math.copysign(math.inf, gap) if gap else 0.0)
         rows.append([
             _fmt(alpha), str(report.requests),
             _fmt(report.backhaul_fraction_mean), _fmt(stderr),
@@ -214,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="key = value config file")
     common.add_argument("--out", type=Path, help="output CSV path (default stdout)")
     common.add_argument("--samples", type=int, default=1_000_000,
-                        help="Monte Carlo samples for the coverage profile")
+                        help="ignored: the coverage profile is exact; accepted "
+                             "so that older command lines still run")
     common.add_argument("--alpha-grid", type=parse_grid, default="0:1:0.01",
                         help="alpha sweep grid, a:b:step or comma list")
     common.add_argument("--r-grid", type=parse_grid, default="45:60:5",
@@ -237,6 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: Path) -> None:
+    """Raise OSError unless path names a file that can be written.
+
+    Checked before the subcommand runs, so that a run which cannot save its
+    table does no work and prints nothing.
+    """
+    if path.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"--out directory {path.parent} does not exist")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise PermissionError(f"--out {path} is not writable")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -244,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         if any(a < 0 or a > 1 for a in args.alpha_grid):
             raise ValueError("alpha grid must lie in [0, 1]")
+        if args.out is not None:
+            _check_writable(args.out)
         rows, header = COMMANDS[args.command](cfg, args)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

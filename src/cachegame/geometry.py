@@ -1,9 +1,11 @@
 """Coverage geometry for a square SBS grid inside a circular MBS cell.
 
-The coverage profile is estimated on one interior grid cell with its four
+The coverage profile is computed on one interior grid cell with its four
 corner SBS disks.  For sbs_spacing/sqrt(2) <= sbs_radius <= sbs_spacing every
 point of the cell is covered by one to four disks, so the per-count areas
-partition the cell exactly.
+partition the cell exactly.  `coverage_areas` computes those areas in closed
+form; `coverage_areas_unit_cell` estimates them by Monte Carlo and serves as
+the tests' oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ class NetworkGeometry:
 class CoverageAreas:
     """Unit-cell areas covered by exactly 1..4 SBS disks.
 
-    `hits` and `samples` keep the raw Monte Carlo tallies; the hit counts
-    partition the samples exactly, which the float areas only do up to
-    rounding.
+    `hits` and `samples` keep the raw Monte Carlo tallies (None for the
+    closed form); the hit counts partition the samples exactly, which the
+    float areas only do up to rounding.
     """
 
     areas: np.ndarray
@@ -64,6 +66,42 @@ class CoverageAreas:
             hits = np.array(self.hits, dtype=np.int64)
             hits.setflags(write=False)
             object.__setattr__(self, "hits", hits)
+
+
+def coverage_areas(geom: NetworkGeometry) -> CoverageAreas:
+    """Exact area of the exactly-d coverage regions of the unit cell.
+
+    With d = sbs_spacing and r = sbs_radius, the four-fold area A4 is four
+    times the part of a quarter cell within r of the opposite corner, and
+    the inclusion-exclusion sums sum_k C(k, i) A_k for i = 0, 1, 2 are the
+    cell area d^2, the four quarter disks pi r^2 (r <= d keeps them inside
+    the cell) and the pairwise overlaps 2 Lens(d) + 2 Lens(d sqrt 2), where
+    Lens(s) is the intersection of two r-disks s apart.  Those three sums
+    fix A1, A2 and A3.  Arguments of sqrt, acos and asin are clamped so the
+    radius tolerance of NetworkGeometry stays in their domains, and each
+    area is clamped at 0: A3 = A4 = 0 at r = d/sqrt(2) and A1 = 0 at r = d.
+    """
+    d, r = geom.sbs_spacing, geom.sbs_radius
+    r2 = r * r
+
+    def under_arc(x):  # integral of sqrt(r^2 - u^2) from 0 to x, 0 <= x <= r
+        return 0.5 * (x * math.sqrt(max(r2 - x * x, 0.0))
+                      + r2 * math.asin(min(x / r, 1.0)))
+
+    def lens(s):
+        return (2.0 * r2 * math.acos(min(s / (2.0 * r), 1.0))
+                - 0.5 * s * math.sqrt(max(4.0 * r2 - s * s, 0.0)))
+
+    h = 0.5 * d
+    t = math.sqrt(max(r2 - h * h, 0.0))
+    a4 = max(4.0 * (under_arc(t) - under_arc(h) - h * (t - h)), 0.0)
+    t0 = d * d - a4
+    t1 = math.pi * r2 - 4.0 * a4
+    t2 = 2.0 * lens(d) + 2.0 * lens(d * math.sqrt(2.0)) - 6.0 * a4
+    a3 = t2 - (t1 - t0)
+    a2 = t1 - t0 - 2.0 * a3
+    a1 = t0 - a2 - a3
+    return CoverageAreas(areas=np.maximum([a1, a2, a3, a4], 0.0), cell_area=d * d)
 
 
 def coverage_areas_unit_cell(geom: NetworkGeometry, samples: int,

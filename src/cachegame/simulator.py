@@ -45,10 +45,11 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
     file from the popularity, adversaries all target the least cached file
     of the deployed m (the lowest index on ties), which need not be the
     least cached file of q once rounding and the capacity repair apply.
-    The per-request cost is max(n - d*m_j, 0)/n.  Deterministic per seed.
+    The per-request cost is max(n - d*m_j, 0)/n; its standard error needs
+    at least two requests.  Deterministic per seed.
     """
-    if num_requests < 1:
-        raise ValueError("need at least one request")
+    if num_requests < 2:
+        raise ValueError("need at least two requests for a standard error")
     rng = np.random.default_rng(seed)
     m = quantize_placement(placement, n, cfg.popularity)
     j_star, _ = best_response(Placement(q=m / n, cache_size=placement.cache_size))
@@ -63,7 +64,7 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
 
     cost = np.maximum(n - coverage * m[files], 0) / n
     mean = float(cost.mean())
-    stderr = float(cost.std(ddof=1) / math.sqrt(num_requests)) if num_requests > 1 else 0.0
+    stderr = float(cost.std(ddof=1) / math.sqrt(num_requests))
     counts = np.bincount(coverage, minlength=s + 1)[1:]
     return SimReport(
         requests=num_requests,

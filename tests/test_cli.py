@@ -1,8 +1,9 @@
 import csv
+import dataclasses
 
 import pytest
 
-from cachegame import cli, game, model, simulator
+from cachegame import cli, game, geometry, model, simulator
 from cachegame.cli import build_parser, main, parse_grid
 
 
@@ -24,6 +25,28 @@ def config_path(tmp_path):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of equilibrium_placement and quantize_placement."""
+    counts = {"equilibrium_placement": 0, "quantize_placement": 0}
+
+    def count(name, *modules):
+        # patch every namespace that may hold the function, so a call
+        # through an import in another module is counted too
+        original = getattr(modules[0], name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    count("equilibrium_placement", game)
+    count("quantize_placement", model, simulator, cli)
+    return counts
 
 
 class TestParseGrid:
@@ -191,6 +214,36 @@ class TestSimulate:
         for row in rows[1:]:
             assert abs(float(row[-2])) <= 4.0
 
+    def test_one_request_is_rejected(self, config_path, capsys):
+        assert main(["simulate", "--config", str(config_path),
+                     "--alpha-grid", "0.5", "--requests", "1"]) == 2
+        assert "two requests" in capsys.readouterr().err
+
+    # with half a file of cache and one fragment per file nothing is
+    # deployed, so every request costs 1 and the standard error is 0
+    EMPTY_CACHE = ["--cache_size", "0.5", "--fragments_per_file", "1",
+                   "--alpha-grid", "0,1", "--requests", "100"]
+
+    def test_zero_stderr_and_exact_match(self, config_path, capsys):
+        assert main(["simulate", "--config", str(config_path),
+                     *self.EMPTY_CACHE]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        for row in rows[1:]:
+            assert (row[2], row[3], row[-2], row[-1]) == (
+                "1.000000", "0.000000", "1.000000", "0.000000")
+
+    def test_zero_stderr_and_a_gap(self, config_path, capsys, monkeypatch):
+        simulate = simulator.simulate
+
+        def off_by_half(*args, **kwargs):
+            report = simulate(*args, **kwargs)
+            return dataclasses.replace(report, backhaul_fraction_mean=0.5)
+        monkeypatch.setattr(simulator, "simulate", off_by_half)
+        assert main(["simulate", "--config", str(config_path),
+                     *self.EMPTY_CACHE]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [row[-1] for row in rows[1:]] == ["-inf", "-inf"]
+
 
 class TestErrors:
     def test_invalid_config_file(self, tmp_path):
@@ -222,30 +275,18 @@ class TestErrors:
         assert f"error: {name} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no_dir", "a_dir"])
-    def test_unwritable_out(self, config_path, tmp_path, capsys, out):
-        assert main(["gamma", "--config", str(config_path), "--samples", "10000",
-                     "--out", str(tmp_path / out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    def test_unwritable_out(self, config_path, tmp_path, capsys, calls, out):
+        # rejected before any work, so nothing that looks like a result shows
+        assert main(["thresholds", "--config", str(config_path),
+                     "--alpha-grid", "0:1:0.5", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert calls["equilibrium_placement"] == 0
 
 
 class TestSolveCounts:
-    def test_no_repeated_solves_or_quantization(self, config_path, monkeypatch):
-        calls = {"equilibrium_placement": 0, "quantize_placement": 0}
-
-        def count(name, *modules):
-            # patch every namespace that may hold the function, so a call
-            # through an import in another module is counted too
-            original = getattr(modules[0], name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            for module in modules:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
-
-        count("equilibrium_placement", game)
-        count("quantize_placement", model, simulator, cli)
+    def test_no_repeated_solves_or_quantization(self, config_path, calls):
         common = ["--config", str(config_path), "--samples", "20000",
                   "--alpha-grid", "0,0.5,1"]
         # the alpha = 0 grid point is the R_ref_noadv base
@@ -254,3 +295,28 @@ class TestSolveCounts:
         # the analytic reference rates the packets the simulator deployed
         assert main(["simulate", *common, "--requests", "1000"]) == 0
         assert calls["quantize_placement"] == 3
+
+
+class TestExactCoverage:
+    SUBCOMMANDS = [
+        ["gamma"], ["placement"], ["sweep-alpha", "--alpha-grid", "0,1"],
+        ["sweep-r", "--r-grid", "43,60"], ["sweep-cache", "--cache-grid", "10"],
+        ["thresholds", "--alpha-grid", "0,1"],
+        ["simulate", "--alpha-grid", "0.5", "--requests", "100"],
+    ]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_no_monte_carlo(self, config_path, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI ran the coverage Monte Carlo")
+        monkeypatch.setattr(geometry, "coverage_areas_unit_cell", refuse)
+        assert main([*argv, "--config", str(config_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_gamma_ignores_samples_and_seed(self, config_path, capsys):
+        outputs = []
+        for extra in ([], ["--samples", "10000"], ["--samples", "5"],
+                      ["--seed", "12345"]):
+            assert main(["gamma", "--config", str(config_path), *extra]) == 0
+            outputs.append(capsys.readouterr().out.encode())
+        assert all(out == outputs[0] for out in outputs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cachegame import (NetworkGeometry, coverage_areas_unit_cell,
+from cachegame import (NetworkGeometry, coverage_areas, coverage_areas_unit_cell,
                        coverage_profile, deployment_counts)
 from cachegame.geometry import CoverageAreas
 
@@ -113,6 +113,62 @@ class TestCoverageAreas:
         g2 = coverage_profile(
             coverage_areas_unit_cell(geom(50.0), 2_000_000, seed=7)).gamma
         assert np.max(np.abs(g1 - g2)) < 3 * 0.5 / math.sqrt(1_000_000)
+
+
+def lens(spacing, radius):
+    """Area of the intersection of two disks of the radius, spacing apart."""
+    return (2 * radius**2 * math.acos(spacing / (2 * radius))
+            - spacing / 2 * math.sqrt(4 * radius**2 - spacing**2))
+
+
+class TestExactCoverageAreas:
+    """The closed form, checked against moment identities and Monte Carlo."""
+
+    RADII = [43.0, 45.0, 50.0, 52.5, 55.0, 60.0]
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_moment_sums(self, radius):
+        a = coverage_areas(geom(radius)).areas
+        k = np.arange(1, 5)
+        # a disk pair overlaps inside the cell in half a lens along an edge
+        # and in a whole lens along a diagonal
+        pairs = 2 * lens(60.0, radius) + 2 * lens(60.0 * math.sqrt(2), radius)
+        assert a.sum() == pytest.approx(60.0**2, rel=1e-9)
+        assert (k * a).sum() == pytest.approx(math.pi * radius**2, rel=1e-9)
+        assert (k * (k - 1) / 2 * a).sum() == pytest.approx(pairs, rel=1e-9)
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_matches_independent_oracle(self, radius):
+        samples = 1_000_000
+        exact = coverage_areas(geom(radius)).areas / 60.0**2
+        oracle = independent_coverage_mc(60.0, radius, samples, seed=77)
+        sigma = np.sqrt(exact * (1 - exact) / samples)
+        assert np.all(np.abs(oracle - exact) <= 4 * sigma + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.5, 7.0, 1e4])
+    def test_scale_invariance(self, scale):
+        for radius in (45.0, 52.5):
+            base = coverage_areas(geom(radius)).areas
+            scaled = coverage_areas(geom(scale * radius, spacing=scale * 60.0)).areas
+            np.testing.assert_allclose(scaled, scale**2 * base, rtol=1e-9,
+                                       atol=1e-12 * scale**2 * 60.0**2)
+
+    def test_overlap_grows_with_radius(self):
+        radii = np.linspace(60.0 / math.sqrt(2), 60.0, 400)
+        a = np.array([coverage_areas(geom(r)).areas for r in radii])
+        assert np.all(np.diff(a[:, 3]) >= 0)
+        assert np.all(np.diff(a[:, 0]) <= 0)
+
+    @pytest.mark.parametrize("radius, zero", [
+        (60.0 / math.sqrt(2) - 1e-9, [2, 3]), (60.0 / math.sqrt(2), [2, 3]),
+        (60.0 / math.sqrt(2) + 1e-9, [2, 3]),
+        (60.0 - 1e-9, [0]), (60.0, [0]), (60.0 + 1e-9, [0]),
+    ])
+    def test_window_edges(self, radius, zero):
+        a = coverage_areas(geom(radius)).areas
+        assert np.all(a >= 0)
+        assert a.sum() == pytest.approx(60.0**2, rel=1e-9)
+        np.testing.assert_allclose(a[zero], 0.0, atol=1e-9 * 60.0**2)
 
 
 class TestCoverageProfile:

@@ -60,8 +60,11 @@ class TestSimulate:
 
     def test_rejects_zero_requests(self):
         cfg = make_config(0.2)
-        with pytest.raises(ValueError):
-            simulate(Placement(q=np.zeros(20), cache_size=4.0), cfg, 100, 0, seed=1)
+        # one request has no standard error either
+        for num_requests in (0, 1):
+            with pytest.raises(ValueError, match="two requests"):
+                simulate(Placement(q=np.zeros(20), cache_size=4.0), cfg, 100,
+                         num_requests, seed=1)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_agrees_with_analytic_rate(self, alpha):
