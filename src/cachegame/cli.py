@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 # the most points an 'a:b:step' grid may have
 MAX_GRID_POINTS = 1_000_000
+# the most requests per simulated row; the simulator holds about 34 bytes per
+# request, so 3.4 GB at this cap
+MAX_REQUESTS = 100_000_000
 
 
 def parse_grid(text: str) -> list[float]:
@@ -179,6 +182,9 @@ def cmd_thresholds(cfg: dict, args):
 
 
 def cmd_simulate(cfg: dict, args):
+    if not 2 <= args.requests <= MAX_REQUESTS:
+        raise ValueError(f"--requests {args.requests}: need at least two requests "
+                         f"and at most {MAX_REQUESTS}")
     gcfg = build_game_config(cfg)
     n = cfg["fragments_per_file"]
     rows = []

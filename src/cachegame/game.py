@@ -6,9 +6,9 @@ file, so the leader minimizes
     (1-a) * sum_j p_j h(q_j) + a * h(min(q)),   h(x) = sum_d gamma_d max(1 - d x, 0)
 
 over the box-and-capacity polytope {0 <= q <= 1, sum q <= M}.  The objective
-is convex and piecewise linear, and is minimized exactly by a greedy inside
-a one-dimensional search (Dantzig; Ibaraki & Katoh, Resource Allocation
-Problems, 1988):
+is convex and piecewise linear, and is minimized exactly by a greedy above a
+floor mu = min q found in closed form (Dantzig; Ibaraki & Katoh, Resource
+Allocation Problems, 1988):
 
 - Per-file segments.  With c_k = sum_{d<=k} d gamma_d, h falls at rate c_k
   on segment k, [1/(k+1), 1/k] (segment S starts at 0), so segment k of file
@@ -21,12 +21,20 @@ Problems, 1988):
 - Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
   V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
   max(M - N mu, 0) over the parts of the segments that lie above mu.
-- Search.  V is convex with right derivative
-  V'(mu+) = -a c_k + (1-a) sum_j max(lam - p_j c_k, 0), where k is the level
-  that contains (mu, mu + eps) and lam the weight of the last segment with a
-  positive fill (0 if everything fits).  Bisection on its sign over
-  [0, M/N], until the midpoint equals an endpoint, finds the smallest mu
-  with V'(mu+) >= 0; the greedy fill at that mu is the placement.
+- Floor.  V is convex with right derivative
+  V'(mu+) = -a c_k + (1-a) c_k G(lam / c_k), G(x) = sum_j max(x - p_j, 0),
+  where k is the level that contains (mu, mu + eps) and lam the weight of
+  the last segment with a positive fill.  So V'(mu+) >= 0 exactly when
+  lam >= c_k x_a, with the water level x_a = min_m (a/(1-a) + sum of the m
+  smallest p) / m solving G(x_a) = a/(1-a) (0 at a = 0, infinite at a = 1).
+  The segments of weight >= c_k x_a (all of them if c_k = 0) are heavy and
+  a prefix of the order, so this holds when their length above mu, plus
+  N mu, reaches M.  On level k that sum is a line, used_k + (N - heavy_k) mu
+  with heavy_k the heavy segments of the level, so mu = (M - used_k) /
+  (N - heavy_k), raised to the level's start.  The first level, in
+  increasing q, on which it lands gives the floor, the smallest minimizer
+  (ties where V is flat go to it); the greedy fills the heavy prefix.  Past
+  a = 1 - 1/(N p_max), x_a > p_max: nothing above mu is heavy, q* is uniform.
 """
 
 from __future__ import annotations
@@ -87,9 +95,9 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
 
 def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
                       cache: float) -> np.ndarray:
-    """Exact minimizer of the leader's objective, by the search of the module
-    docstring.  Segments of equal weight are filled in popularity order, ties
-    in index order, so q is non-increasing in that order."""
+    """Exact minimizer of the leader's objective: the greedy fill above the
+    closed-form floor of the module docstring.  Equal weights fill in
+    popularity order, ties in index order, so q is non-increasing in it."""
     n, s = probs.size, gamma.size
     hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
     lo = np.append(0.0, hi[:-1])
@@ -100,38 +108,27 @@ def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
     weight = weight[order]
     owner, segment = np.divmod(order, s)
     owner = by_popularity[owner]
-
-    def above(mu):
-        """Budget, and each sorted segment's length above mu and cumulative end."""
-        length = np.maximum(hi - np.maximum(lo, mu), 0.0)[segment]
-        # in floating point M - N*(M/N) can come out as -eps
-        return max(cache - n * mu, 0.0), length, np.cumsum(length)
-
-    def slope(mu):
-        """V'(mu+)."""
-        budget, _, end = above(mu)
-        last = int(np.searchsorted(end, budget))  # last segment with a positive fill
-        lam = weight[last] if last < end.size else 0.0
-        c_k = c[np.count_nonzero(lo <= mu) - 1]
-        return (-alpha * c_k
-                + (1.0 - alpha) * np.maximum(lam - probs * c_k, 0.0).sum())
-
-    mu_lo, mu_hi = 0.0, cache / n
-    if slope(0.0) >= 0.0:
-        mu_hi = 0.0
-    while mu_lo < (mid := 0.5 * (mu_lo + mu_hi)) < mu_hi:
-        if slope(mid) >= 0.0:
-            mu_hi = mid
-        else:
-            mu_lo = mid
-    budget, length, end = above(mu_hi)
-    start = np.concatenate(([0.0], end[:-1]))
-    fill = np.clip(budget - start, 0.0, length)
-    return mu_hi + np.bincount(owner, weights=fill, minlength=n)
+    x_a = (0.0 if alpha == 0.0 else np.inf if alpha == 1.0 else
+           np.min((alpha / (1.0 - alpha) + np.cumsum(np.sort(probs)))
+                  / np.arange(1, n + 1)))
+    for k in range(s):                            # levels, increasing q
+        heavy = np.count_nonzero(weight >= c[k] * x_a) if c[k] else weight.size
+        count = np.bincount(segment[:heavy], minlength=s)
+        used = count[k] * hi[k] + count[k + 1:] @ (hi - lo)[k + 1:]
+        mu = (max(lo[k], (cache - used) / (n - count[k])) if count[k] < n
+              else lo[k] if used >= cache else np.inf)
+        if mu <= hi[k]:
+            break
+    # in floating point M - N*mu can come out as -eps
+    budget = max(cache - n * mu, 0.0)
+    length = np.maximum(hi - np.maximum(lo, mu), 0.0)[segment[:heavy]]
+    end = np.cumsum(length)
+    fill = np.clip(budget - np.concatenate(([0.0], end[:-1])), 0.0, length)
+    return mu + np.bincount(owner[:heavy], weights=fill, minlength=n)
 
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
-    """Leader's equilibrium placement, the exact optimum of the greedy search."""
+    """Leader's equilibrium placement: the exact optimum with the least floor."""
     q = _greedy_placement(cfg.popularity.probs, cfg.coverage.gamma, cfg.alpha,
                           cfg.cache_size)
     placement = Placement(q=q, cache_size=cfg.cache_size)

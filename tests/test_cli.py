@@ -219,6 +219,14 @@ class TestSimulate:
                      "--alpha-grid", "0.5", "--requests", "1"]) == 2
         assert "two requests" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("requests", ["1", "100000000000"])
+    def test_request_count_is_checked_before_solving(self, config_path, capsys,
+                                                     calls, requests):
+        assert main(["simulate", "--config", str(config_path),
+                     "--alpha-grid", "0,0.5", "--requests", requests]) == 2
+        assert capsys.readouterr().err.startswith("error: --requests")
+        assert calls["equilibrium_placement"] == 0
+
     # with half a file of cache and one fragment per file nothing is
     # deployed, so every request costs 1 and the standard error is 0
     EMPTY_CACHE = ["--cache_size", "0.5", "--fragments_per_file", "1",

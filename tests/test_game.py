@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        detect_thresholds, equilibrium_placement, evaluate,
                        legit_rate, no_adversary_placement, sweep_equilibria,
                        total_rate, worst_case_rate, zipf_popularity)
+from cachegame.game import DISTANCE_TOL
 
 # coverage profile of the 60 m grid with r = 45 m, frozen from a 1e7-sample
 # Monte Carlo run; small perturbations do not change any assertion below
@@ -106,6 +108,20 @@ class TestEquilibriumPlacement:
         np.testing.assert_allclose(res.q_star.q, [0.5, 0.5], atol=1e-7)
         assert res.rates.r_total == pytest.approx(0.5, abs=1e-7)
 
+    @pytest.mark.parametrize("cfg, q, j_star, r_total", [
+        # V is flat on [0, 1/4]: the uniform 0.25 gives R_total 0.55 too
+        (make_config(0.25, np.array([2, 2, 1, 1]) / 6, [0.2, 0.8], 1.0),
+         [0.5, 0.5, 0.0, 0.0], 2, 0.55),
+        # gamma_1 = 0, so h is flat above 1/2: the uniform 0.75 gives 0 too
+        (make_config(1.0, [0.4, 0.3, 0.2, 0.1], [0.0, 1.0], 3.0),
+         [1.0, 1.0, 0.5, 0.5], 2, 0.0),
+    ], ids=["flat_value", "flat_top_segment"])
+    def test_ties_take_the_smallest_floor(self, cfg, q, j_star, r_total):
+        res = equilibrium_placement(cfg)
+        assert res.q_star.q.tolist() == q
+        assert res.j_star == j_star
+        assert res.rates.r_total == pytest.approx(r_total, abs=1e-12)
+
     def test_result_internally_consistent(self):
         cfg = reference_config(alpha=0.4)
         res = equilibrium_placement(cfg)
@@ -162,6 +178,18 @@ class TestEquilibriumPlacement:
         # every file and the segments tie across files out of popularity order
         cases.append(make_config(0.4, [0.1, 0.3, 0.1, 0.3, 0.2], [0.5, 0.3, 0.2], 2.3))
         cases.append(make_config(0.3, [0.1, 0.2, 0.7, 0.0], [0.0, 0.5, 0.5], 2.7))
+        # tie-heavy: uniform and repeated popularities, zero entries in gamma,
+        # M an integer or N/k, alpha at 0 and 1
+        for probs, gamma, alpha in itertools.product(
+                [zipf_popularity(6, 0.0).probs, np.array([3, 3, 2, 2, 2, 1]) / 13,
+                 np.array([2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]) / 15],
+                [[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.0, 0.0, 1.0]],
+                [0.0, 0.25, 0.5, 1.0]):
+            for cache in (1.0, 2.0, probs.size / 3, probs.size / 2):
+                cases.append(make_config(alpha, probs, gamma, cache))
+        # x_a rounds to p_min: every file is heavy on the bottom level, whose
+        # heavy length does not reach M, so the floor lies on the next level
+        cases.append(make_config(1e-20, [0.9, 0.1], [0.1, 0.9], 1.5))
         for k, cfg in enumerate(cases):
             _, oracle = lp_equilibrium(cfg, tol=1e-9)
             res = equilibrium_placement(cfg)
@@ -280,6 +308,25 @@ class TestSweepAndThresholds:
                 assert res.rates.r_total <= ref_rate + 1e-9
             values.append(res.rates.r_total)
         assert np.all(np.diff(values) >= -1e-9)
+
+    @pytest.mark.parametrize("cfg, threshold", [
+        (reference_config(), 0.932143),
+        (make_config(0.0, zipf_popularity(2000, 0.7).probs, GAMMA_R45, 200.0), 0.985089),
+        (make_config(0.0, zipf_popularity(200, 0.0).probs, GAMMA_R45, 20.0), 0.0),
+    ], ids=["default", "n2000", "zipf0"])
+    def test_gathering_threshold(self, cfg, threshold):
+        # q* turns uniform where the water level x_a reaches p_max
+        n = cfg.library.num_files
+        closed_form = 1.0 - 1.0 / (n * cfg.popularity.probs.max())
+        assert closed_form == pytest.approx(threshold, abs=1e-6)
+        uniform = cfg.cache_size / n
+
+        def distance(alpha):
+            q = equilibrium_placement(cfg.with_alpha(alpha)).q_star.q
+            return np.max(np.abs(q - uniform))
+        assert distance(closed_form + 1e-6) <= 1e-12
+        if threshold > 0:
+            assert distance(closed_form - 1e-6) > DISTANCE_TOL
 
     def test_degenerate_grid_reports_absent(self):
         cfg = reference_config()
