@@ -185,8 +185,12 @@ def cmd_simulate(cfg: dict, args):
     if not 2 <= args.requests <= MAX_REQUESTS:
         raise ValueError(f"--requests {args.requests}: need at least two requests "
                          f"and at most {MAX_REQUESTS}")
-    gcfg = build_game_config(cfg)
     n = cfg["fragments_per_file"]
+    if n < 1:
+        raise ValueError(f"fragments_per_file {n}: need at least one fragment per file")
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed {cfg['seed']}: must be non-negative")
+    gcfg = build_game_config(cfg)
     rows = []
     for i, alpha in enumerate(args.alpha_grid):
         sub = gcfg.with_alpha(alpha)

@@ -15,9 +15,10 @@ Allocation Problems, 1988):
   j weighs w_jk = p_j c_k.  All S*N segments are sorted once by weight,
   descending and stable, with the files laid out by popularity (ties in
   index order) and each file's segments in increasing q; the order depends
-  on neither alpha nor mu.  So a more popular file never holds less than a
-  less popular one: the equilibrium is ordered by popularity, with ties in
-  index order.
+  on neither alpha, mu nor M, so it is built once per (popularity, coverage)
+  pair and reused by every solve of a sweep.  So a more popular file never
+  holds less than a less popular one: the equilibrium is ordered by
+  popularity, with ties in index order.
 - Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
   V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
   max(M - N mu, 0) over the parts of the segments that lie above mu.
@@ -33,12 +34,15 @@ Allocation Problems, 1988):
   with heavy_k the heavy segments of the level, so mu = (M - used_k) /
   (N - heavy_k), raised to the level's start.  The first level, in
   increasing q, on which it lands gives the floor, the smallest minimizer
-  (ties where V is flat go to it); the greedy fills the heavy prefix.  Past
-  a = 1 - 1/(N p_max), x_a > p_max: nothing above mu is heavy, q* is uniform.
+  (ties where V is flat go to it); the greedy fills the heavy prefix.  The
+  weights p_j c_l of one level l fall with popularity, so one binary search
+  per level counts its heavy segments.  Past a = 1 - 1/(N p_max),
+  x_a > p_max: nothing above mu is heavy, q* is uniform.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,38 +97,77 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     return _rate(placement, cfg)[1]
 
 
+@dataclass(frozen=True)
+class _Segments:
+    """The sorted segment order of one (popularity, coverage) pair.
+
+    Every array is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
+    per unit of popularity.  Sorted segment i belongs to file owner[i] and
+    level segment[i]; row k of columns holds the negated weights of level k's
+    segments in popularity order, so ascending; cumprobs[m - 1] is the sum of
+    the m smallest probabilities.
+    """
+
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    owner: np.ndarray
+    segment: np.ndarray
+    columns: np.ndarray
+    cumprobs: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
+    """The segment table of the module docstring, keyed by the bytes of the
+    float64 popularity and coverage vectors; it depends on nothing else."""
+    probs, gamma = np.frombuffer(probs_bytes), np.frombuffer(gamma_bytes)
+    s = gamma.size
+    hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
+    c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
+    by_popularity = np.argsort(-probs, kind="stable")
+    columns = np.outer(-c, probs[by_popularity])  # negated weights -p_j c_k
+    order = np.argsort(columns.T.ravel(), kind="stable")
+    owner, segment = np.divmod(order, s)
+    table = _Segments(c=c, lo=np.append(0.0, hi[:-1]), hi=hi,
+                      owner=by_popularity[owner], segment=segment,
+                      columns=columns, cumprobs=np.cumsum(np.sort(probs)))
+    for array in vars(table).values():
+        array.flags.writeable = False
+    return table
+
+
 def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
                       cache: float) -> np.ndarray:
     """Exact minimizer of the leader's objective: the greedy fill above the
     closed-form floor of the module docstring.  Equal weights fill in
-    popularity order, ties in index order, so q is non-increasing in it."""
+    popularity order, ties in index order, so q is non-increasing in it.
+
+    The segment order comes from the memoised _segments.  Heavy segments are
+    counted by one binary search per level column, which makes the same
+    weight >= c_k x_a comparisons as a pass over all S*N weights."""
+    t = _segments(probs.tobytes(), gamma.tobytes())
+    c, lo, hi = t.c, t.lo, t.hi
     n, s = probs.size, gamma.size
-    hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
-    lo = np.append(0.0, hi[:-1])
-    c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
-    by_popularity = np.argsort(-probs, kind="stable")
-    weight = np.outer(probs[by_popularity], c).ravel()
-    order = np.argsort(-weight, kind="stable")
-    weight = weight[order]
-    owner, segment = np.divmod(order, s)
-    owner = by_popularity[owner]
     x_a = (0.0 if alpha == 0.0 else np.inf if alpha == 1.0 else
-           np.min((alpha / (1.0 - alpha) + np.cumsum(np.sort(probs)))
-                  / np.arange(1, n + 1)))
+           np.min((alpha / (1.0 - alpha) + t.cumprobs) / np.arange(1, n + 1)))
+    # count[k, l]: level-l segments weighing >= c_k x_a, all of them if c_k = 0
+    bound = -np.multiply(c, x_a, out=np.zeros(s), where=c > 0)
+    count = np.array([column.searchsorted(bound, side="right")
+                      for column in t.columns]).T
     for k in range(s):                            # levels, increasing q
-        heavy = np.count_nonzero(weight >= c[k] * x_a) if c[k] else weight.size
-        count = np.bincount(segment[:heavy], minlength=s)
-        used = count[k] * hi[k] + count[k + 1:] @ (hi - lo)[k + 1:]
-        mu = (max(lo[k], (cache - used) / (n - count[k])) if count[k] < n
+        used = count[k, k] * hi[k] + count[k, k + 1:] @ (hi - lo)[k + 1:]
+        mu = (max(lo[k], (cache - used) / (n - count[k, k])) if count[k, k] < n
               else lo[k] if used >= cache else np.inf)
         if mu <= hi[k]:
             break
+    heavy = count[k].sum()
     # in floating point M - N*mu can come out as -eps
     budget = max(cache - n * mu, 0.0)
-    length = np.maximum(hi - np.maximum(lo, mu), 0.0)[segment[:heavy]]
+    length = np.maximum(hi - np.maximum(lo, mu), 0.0)[t.segment[:heavy]]
     end = np.cumsum(length)
     fill = np.clip(budget - np.concatenate(([0.0], end[:-1])), 0.0, length)
-    return mu + np.bincount(owner[:heavy], weights=fill, minlength=n)
+    return mu + np.bincount(t.owner[:heavy], weights=fill, minlength=n)
 
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
@@ -161,7 +204,8 @@ def worst_case_rate(cfg: GameConfig) -> float:
 
 
 def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
-    """Equilibrium solves for each alpha on a grid (independent solves)."""
+    """Equilibrium solves for each alpha on a grid, one per alpha; all of
+    them share one segment table, so the segments are sorted once."""
     return [equilibrium_placement(cfg.with_alpha(float(a))) for a in alphas]
 
 

@@ -227,6 +227,15 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: --requests")
         assert calls["equilibrium_placement"] == 0
 
+    @pytest.mark.parametrize("key, value", [("fragments_per_file", "0"),
+                                            ("seed", "-1")])
+    def test_simulator_inputs_are_checked_before_solving(self, config_path, capsys,
+                                                         calls, key, value):
+        assert main(["simulate", "--config", str(config_path),
+                     "--alpha-grid", "0,0.5", f"--{key}", value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} {value}:")
+        assert calls["equilibrium_placement"] == 0
+
     # with half a file of cache and one fragment per file nothing is
     # deployed, so every request costs 1 and the standard error is 0
     EMPTY_CACHE = ["--cache_size", "0.5", "--fragments_per_file", "1",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lp_oracle import lp_equilibrium
+from cachegame import game
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        PopularityDist, adversary_rate, best_response,
                        detect_thresholds, equilibrium_placement, evaluate,
@@ -255,6 +256,38 @@ class TestEquilibriumPlacement:
         # rate uses only model's public names
         assert not [name for source, name in imports("rate")
                     if source == "model" and name.startswith("_")]
+
+
+class TestSegmentTable:
+    def test_one_sort_per_sweep(self):
+        game._segments.cache_clear()
+        sweep_equilibria(reference_config(), np.linspace(0, 1, 21))
+        info = game._segments.cache_info()
+        assert (info.misses, info.hits) == (1, 20)
+
+    def test_alternating_instances_match_cold_solves(self):
+        libraries = [zipf_popularity(200, z).probs for z in (0.7, 0.8)]
+        profiles = [GAMMA_R45, np.array([0.4, 0.3, 0.2, 0.1])]
+        # consecutive cases change the library, the profile or both; each is
+        # solved twice in a row, so the table is both rebuilt and reused
+        cases = [make_config(alpha, libraries[i], profiles[j], cache)
+                 for alpha in (0.0, 0.3, 0.6, 0.95, 1.0) for cache in (5.0, 20.0, 150.0)
+                 for i, j in ((0, 0), (1, 0), (1, 1), (0, 1), (1, 0))]
+        warm = [[equilibrium_placement(cfg).q_star.q for _ in range(2)]
+                for cfg in cases]
+        for cfg, qs in zip(cases, warm):
+            game._segments.cache_clear()
+            cold = equilibrium_placement(cfg).q_star.q
+            assert all(np.array_equal(q, cold) for q in qs)
+
+    def test_arrays_are_read_only(self):
+        cfg = reference_config()
+        table = game._segments(cfg.popularity.probs.tobytes(),
+                               cfg.coverage.gamma.tobytes())
+        for name, array in vars(table).items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestNoAdversaryPlacement:
