@@ -28,9 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 # the most points an 'a:b:step' grid may have
 MAX_GRID_POINTS = 1_000_000
-# the most requests per simulated row; the simulator holds about 34 bytes per
-# request, so 3.4 GB at this cap
-MAX_REQUESTS = 100_000_000
+# the most requests per simulated row: the largest count the multinomial draw
+# takes (int64)
+MAX_REQUESTS = 2**63 - 1
 
 
 def parse_grid(text: str) -> list[float]:
@@ -123,10 +123,13 @@ def cmd_sweep_alpha(cfg: dict, args):
     # R_ref_noadv rates the alpha = 0 equilibrium, a grid point when it starts at 0
     base = (results[0] if alphas[0] == 0
             else game.equilibrium_placement(gcfg.with_alpha(0.0))).q_star
+    # the adversaries' target on a fixed placement does not depend on alpha,
+    # so the base is rated once and mixed per grid point
+    ref = game.evaluate(base, gcfg)
     uniform = game.worst_case_rate(gcfg)
     rows = [[
         _fmt(alpha), *_rate_cells(res),
-        _fmt(game.evaluate(base, gcfg.with_alpha(alpha)).r_total),
+        _fmt(game.total_rate(alpha, ref.r_legit, ref.r_adv).r_total),
         _fmt(uniform),
     ] for alpha, res in zip(alphas, results)]
     header = ["alpha", *RATE_HEADER, "R_ref_noadv", "R_ref_uniform"]
@@ -134,13 +137,11 @@ def cmd_sweep_alpha(cfg: dict, args):
 
 
 def cmd_sweep_r(cfg: dict, args):
-    rows = []
-    for r in args.r_grid:
-        sub = dict(cfg, sbs_radius_m=r)
-        gcfg = build_game_config(sub)
-        res = game.equilibrium_placement(gcfg)
-        rows.append([_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
-                     *_rate_cells(res)])
+    # every radius is checked before the first solve
+    configs = [build_game_config(dict(cfg, sbs_radius_m=r)) for r in args.r_grid]
+    rows = [[_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
+             *_rate_cells(game.equilibrium_placement(gcfg))]
+            for r, gcfg in zip(args.r_grid, configs)]
     header = ["r_m", *[f"gamma_{d}" for d in range(1, geometry.MAX_COVERAGE + 1)],
               *RATE_HEADER]
     return rows, header
@@ -148,10 +149,10 @@ def cmd_sweep_r(cfg: dict, args):
 
 def cmd_sweep_cache(cfg: dict, args):
     gcfg = build_game_config(cfg)
-    rows = []
-    for cache in args.cache_grid:
-        res = game.equilibrium_placement(dataclasses.replace(gcfg, cache_size=cache))
-        rows.append([_fmt(cache), *_rate_cells(res)])
+    # every cache size is checked before the first solve
+    configs = [dataclasses.replace(gcfg, cache_size=c) for c in args.cache_grid]
+    rows = [[_fmt(sub.cache_size), *_rate_cells(game.equilibrium_placement(sub))]
+            for sub in configs]
     header = ["cache_size", *RATE_HEADER]
     return rows, header
 

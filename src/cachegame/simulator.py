@@ -1,8 +1,10 @@
-"""Request-level Monte Carlo simulation with explicit MDS packet accounting.
+"""Monte Carlo simulation of request counts with explicit MDS packet accounting.
 
-Serves as an independent check of the closed-form rates: each request draws
-a user type, a file and a coverage count, and accrues the packet deficit
-the MBS has to send over the backhaul.
+Serves as an independent check of the closed-form rates.  A request's cost,
+the packet deficit the MBS has to send over the backhaul, depends only on
+its file and its coverage count, so one multinomial draw over the
+(file, coverage) cells gives the same counts as drawing every request on
+its own, in time and memory that do not depend on the number of requests.
 """
 
 from __future__ import annotations
@@ -45,31 +47,31 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
     file from the popularity, adversaries all target the least cached file
     of the deployed m (the lowest index on ties), which need not be the
     least cached file of q once rounding and the capacity repair apply.
-    The per-request cost is max(n - d*m_j, 0)/n; its standard error needs
-    at least two requests.  Deterministic per seed.
+    A request for file j covered by d SBSs costs max(n - d*m_j, 0)/n; the
+    counts of the N*S (file, coverage) cells are one multinomial draw.  The
+    standard error needs at least two requests.  Deterministic per seed.
     """
     if num_requests < 2:
         raise ValueError("need at least two requests for a standard error")
     rng = np.random.default_rng(seed)
     m = quantize_placement(placement, n, cfg.popularity)
-    j_star, _ = best_response(Placement(q=m / n, cache_size=placement.cache_size))
-    num_files = placement.num_files
-    s = cfg.coverage.max_coverage
+    _, target = best_response(Placement(q=m / n, cache_size=placement.cache_size))
+    p = (1.0 - cfg.alpha) * cfg.popularity.probs + cfg.alpha * target.probs
+    gamma = cfg.coverage.gamma
+    d = np.arange(1, gamma.size + 1)
 
-    is_adv = rng.random(num_requests) < cfg.alpha
-    files = np.full(num_requests, j_star, dtype=np.int64)
-    files[~is_adv] = rng.choice(num_files, size=int(np.count_nonzero(~is_adv)),
-                                p=cfg.popularity.probs)
-    coverage = rng.choice(np.arange(1, s + 1), size=num_requests, p=cfg.coverage.gamma)
-
-    cost = np.maximum(n - coverage * m[files], 0) / n
-    mean = float(cost.mean())
-    stderr = float(cost.std(ddof=1) / math.sqrt(num_requests))
-    counts = np.bincount(coverage, minlength=s + 1)[1:]
+    cost = (np.maximum(n - np.outer(m, d), 0) / n).ravel()
+    # the model lets a distribution sum to 1 within PROB_TOL, the draw only
+    # within 1e-12
+    cell_probs = np.outer(p, gamma).ravel()
+    cells = rng.multinomial(num_requests, cell_probs / cell_probs.sum())
+    mean = float(cells @ cost) / num_requests
+    # centred, so equal costs give a standard error of exactly 0
+    variance = float(cells @ (cost - mean) ** 2) / (num_requests - 1)
     return SimReport(
         requests=num_requests,
         backhaul_fraction_mean=mean,
-        backhaul_fraction_stderr=stderr,
-        per_coverage_counts=counts,
+        backhaul_fraction_stderr=math.sqrt(variance / num_requests),
+        per_coverage_counts=cells.reshape(m.size, gamma.size).sum(axis=0),
         packets=m,
     )

@@ -29,8 +29,8 @@ def read_csv(path):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of equilibrium_placement and quantize_placement."""
-    counts = {"equilibrium_placement": 0, "quantize_placement": 0}
+    """Call counts of equilibrium_placement, evaluate and quantize_placement."""
+    counts = {"equilibrium_placement": 0, "evaluate": 0, "quantize_placement": 0}
 
     def count(name, *modules):
         # patch every namespace that may hold the function, so a call
@@ -45,6 +45,7 @@ def calls(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
 
     count("equilibrium_placement", game)
+    count("evaluate", game)
     count("quantize_placement", model, simulator, cli)
     return counts
 
@@ -147,6 +148,11 @@ class TestSweepAlpha:
             assert float(row[1]) <= float(row[5]) + 1e-6
             assert float(row[1]) <= float(row[6]) + 1e-6
 
+    def test_base_is_rated_once(self, config_path, calls):
+        assert main(["sweep-alpha", "--config", str(config_path),
+                     "--alpha-grid", "0.2:1:0.1"]) == 0
+        assert calls["evaluate"] == 1
+
     def test_deterministic_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep-alpha", "--config", str(config_path), "--samples", "50000",
@@ -166,6 +172,12 @@ class TestSweepR:
         rates = [float(r[5]) for r in rows[1:]]
         assert rates[1] < rates[0]
 
+    def test_every_radius_is_checked_before_solving(self, capsys, calls):
+        # at the default spacing of 60 m, radii past 60 m are invalid
+        assert main(["sweep-r", "--r-grid", "45:100:5"]) == 2
+        assert capsys.readouterr().err.startswith("error: sbs_radius")
+        assert calls["equilibrium_placement"] == 0
+
 
 class TestSweepCache:
     def test_rate_decreases_with_cache(self, config_path, tmp_path):
@@ -175,6 +187,12 @@ class TestSweepCache:
         rows = read_csv(out)
         rates = [float(r[1]) for r in rows[1:]]
         assert rates == sorted(rates, reverse=True)
+
+    def test_every_cache_size_is_checked_before_solving(self, capsys, calls):
+        # the default library has 200 files, so M = 200 and beyond are invalid
+        assert main(["sweep-cache", "--cache-grid", "10:300:10"]) == 2
+        assert capsys.readouterr().err.startswith("error: cache size")
+        assert calls["equilibrium_placement"] == 0
 
 
 class TestThresholds:
@@ -219,7 +237,7 @@ class TestSimulate:
                      "--alpha-grid", "0.5", "--requests", "1"]) == 2
         assert "two requests" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("requests", ["1", "100000000000"])
+    @pytest.mark.parametrize("requests", ["1", "9223372036854775808"])
     def test_request_count_is_checked_before_solving(self, config_path, capsys,
                                                      calls, requests):
         assert main(["simulate", "--config", str(config_path),

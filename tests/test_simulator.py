@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from cachegame import (AdversaryStrategy, CoverageProfile, GameConfig,
                        LibraryConfig, NetworkGeometry, Placement,
+                       PopularityDist,
                        adversary_rate, best_response, coverage_areas_unit_cell,
                        coverage_profile, equilibrium_placement, evaluate,
                        legit_rate, quantize_placement, simulate, total_rate,
                        zipf_popularity)
+from cachegame import cli
+from request_simulator import simulate_requests
 
 GAMMA_R45 = np.array([0.290706, 0.659095, 0.043004, 0.007196])
 GAMMA_R45 = GAMMA_R45 / GAMMA_R45.sum()
@@ -28,6 +34,18 @@ def analytic_total(placement, cfg, strategy):
         legit_rate(placement, cfg.popularity, cfg.coverage),
         adversary_rate(placement, cfg.coverage, strategy),
     ).r_total
+
+
+def chi_square_pvalue(counts, probs):
+    """p-value of observed counts against probs; an empty cell must stay empty."""
+    counts = np.asarray(counts, dtype=float)
+    support = probs > 0
+    assert not counts[~support].any()
+    if np.count_nonzero(support) == 1:
+        return 1.0
+    expected = counts.sum() * probs[support]
+    stat = float(((counts[support] - expected) ** 2 / expected).sum())
+    return float(chi2.sf(stat, np.count_nonzero(support) - 1))
 
 
 class TestSimulate:
@@ -57,6 +75,16 @@ class TestSimulate:
         pl = Placement(q=np.linspace(0.6, 0.0, 20), cache_size=6.0)
         report = simulate(pl, cfg, 50, 10_000, seed=4)
         assert report.per_coverage_counts.sum() == 10_000
+
+    def test_draws_distributions_within_tolerance(self):
+        # the model accepts a popularity that sums to 1 within 1e-9; with no
+        # user covered 4 times, the excess cannot go to the last cell
+        probs = zipf_popularity(20, 0.7).probs * (1 + 9e-10)
+        cfg = dataclasses.replace(
+            make_config(0.5, gamma=np.array([0.3, 0.6, 0.1, 0.0])),
+            popularity=PopularityDist(probs=probs))
+        pl = Placement(q=np.linspace(0.4, 0.0, 20), cache_size=4.0)
+        assert simulate(pl, cfg, 10, 1_000, seed=3).requests == 1_000
 
     def test_rejects_zero_requests(self):
         cfg = make_config(0.2)
@@ -117,3 +145,71 @@ class TestSimulate:
             gap = abs(analytic_total(pl, cfg, strat)
                       - analytic_total(quantized, cfg, strat))
             assert gap <= cov.max_coverage / n + 1e-12
+
+    def test_a_trillion_requests(self):
+        n, requests = 100, 10**12
+        cfg = make_config(0.5, num_files=200, cache=20.0)
+        res = equilibrium_placement(cfg)
+        report = simulate(res.q_star, cfg, n, requests, seed=1012)
+        assert report.per_coverage_counts.sum() == requests
+        expected = evaluate(Placement(q=report.packets / n, cache_size=20.0),
+                            cfg).r_total
+        assert abs(report.backhaul_fraction_mean - expected) <= (
+            4 * report.backhaul_fraction_stderr)
+
+    def test_request_cap_is_what_the_draw_takes(self):
+        cfg = make_config(0.5)
+        pl = Placement(q=np.linspace(0.4, 0.0, 20), cache_size=4.0)
+        report = simulate(pl, cfg, 10, cli.MAX_REQUESTS, seed=5)
+        assert report.per_coverage_counts.sum() == cli.MAX_REQUESTS
+        with pytest.raises(OverflowError):
+            simulate(pl, cfg, 10, cli.MAX_REQUESTS + 1, seed=5)
+
+
+class TestAgainstRequestOracle:
+    """Both simulators draw files from p = (1 - alpha) popularity +
+    alpha e_j*, j* = argmin m, and coverage counts from gamma."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_counts_follow_p_times_gamma(self, alpha, monkeypatch):
+        n, requests = 50, 200_000
+        cfg = make_config(alpha)
+        # the least cached file sits in the middle of the library
+        q = np.linspace(0.5, 0.1, 20)
+        q[7] = 0.02
+        pl = Placement(q=q, cache_size=q.sum())
+        m = quantize_placement(pl, n, cfg.popularity)
+        target = np.zeros(20)
+        target[np.argmin(m)] = 1.0
+        p = (1 - alpha) * cfg.popularity.probs + alpha * target
+        gamma = cfg.coverage.gamma
+
+        oracle, oracle_files = simulate_requests(pl, cfg, n, requests, seed=90)
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Recorder:
+            """The simulator's generator, keeping the cell counts it draws."""
+
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def multinomial(self, *args):
+                drawn.append(self.rng.multinomial(*args))
+                return drawn[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", Recorder)
+            report = simulate(pl, cfg, n, requests, seed=91)
+        files = drawn[0].reshape(20, gamma.size).sum(axis=1)
+
+        assert np.array_equal(oracle.packets, report.packets)
+        for counts, probs in ((oracle.per_coverage_counts, gamma),
+                              (oracle_files, p),
+                              (report.per_coverage_counts, gamma),
+                              (files, p)):
+            assert counts.sum() == requests
+            assert chi_square_pvalue(counts, probs) > 1e-6
+        expected = evaluate(Placement(q=m / n, cache_size=pl.cache_size), cfg).r_total
+        for run in (oracle, report):
+            assert abs(run.backhaul_fraction_mean - expected) <= (
+                4 * run.backhaul_fraction_stderr)
