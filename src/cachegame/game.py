@@ -38,11 +38,19 @@ Allocation Problems, 1988):
   weights p_j c_l of one level l fall with popularity, so one binary search
   per level counts its heavy segments.  Past a = 1 - 1/(N p_max),
   x_a > p_max: nothing above mu is heavy, q* is uniform.
+- Cost per solve.  What depends on the popularity alone (its order and the
+  prefix sums P_m of the m smallest p) is memoised per popularity, the
+  segment order per (popularity, coverage) pair.  The floor loop runs on
+  Python numbers and bisects a level's column only on the levels it visits:
+  S bisections of about log2 N steps per level.  So a solve makes a fixed
+  few numpy calls, plus one dot per level visited, whatever N is.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +88,7 @@ def best_response(placement: Placement) -> tuple[int, AdversaryStrategy]:
 
     Ties break to the lowest index; the achieved rate is tie-independent.
     """
-    j_star = int(np.argmin(placement.q))
+    j_star = int(placement.q.argmin())
     return j_star, AdversaryStrategy.point_mass(placement.num_files, j_star)
 
 
@@ -97,20 +105,53 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     return _rate(placement, cfg)[1]
 
 
+def _freeze(table) -> None:
+    for array in vars(table).values():
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _Library:
+    """The part of the segment table that depends on the popularity alone.
+
+    Every array is read-only.  by_popularity lists the files most popular
+    first, ties in index order, and descending their probabilities;
+    cumprobs[m - 1] is the sum P_m of the m smallest probabilities.
+    """
+
+    by_popularity: np.ndarray
+    descending: np.ndarray
+    cumprobs: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _library(probs_bytes: bytes) -> _Library:
+    """The popularity part of the segment table, keyed by the bytes of the
+    float64 popularity vector; a radius sweep reuses it for every gamma."""
+    probs = np.frombuffer(probs_bytes)
+    by_popularity = np.argsort(-probs, kind="stable")
+    library = _Library(by_popularity=by_popularity, descending=probs[by_popularity],
+                       cumprobs=np.cumsum(np.sort(probs)))
+    _freeze(library)
+    return library
+
+
 @dataclass(frozen=True)
 class _Segments:
     """The sorted segment order of one (popularity, coverage) pair.
 
-    Every array is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
-    per unit of popularity.  Sorted segment i belongs to file owner[i] and
-    level segment[i]; row k of columns holds the negated weights of level k's
-    segments in popularity order, so ascending; cumprobs[m - 1] is the sum of
-    the m smallest probabilities.
+    Every array is read-only.  Level k spans [lo[k], hi[k]], of width
+    width[k], and weighs c[k] per unit of popularity.  Sorted segment i
+    belongs to file owner[i] and level segment[i + 1]; segment[0] is S, a
+    level of length 0 that starts the running sums.  columns holds the negated
+    weights -p_j c_l level by level, each level's N in popularity order, so
+    ascending within a level.  cumprobs comes from _Library.
     """
 
     c: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    width: np.ndarray
     owner: np.ndarray
     segment: np.ndarray
     columns: np.ndarray
@@ -121,19 +162,29 @@ class _Segments:
 def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
     """The segment table of the module docstring, keyed by the bytes of the
     float64 popularity and coverage vectors; it depends on nothing else."""
-    probs, gamma = np.frombuffer(probs_bytes), np.frombuffer(gamma_bytes)
-    s = gamma.size
+    library = _library(probs_bytes)
+    gamma = np.frombuffer(gamma_bytes)
+    s, n = gamma.size, library.descending.size
     hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
+    lo = np.append(0.0, hi[:-1])
     c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
-    by_popularity = np.argsort(-probs, kind="stable")
-    columns = np.outer(-c, probs[by_popularity])  # negated weights -p_j c_k
-    order = np.argsort(columns.T.ravel(), kind="stable")
-    owner, segment = np.divmod(order, s)
-    table = _Segments(c=c, lo=np.append(0.0, hi[:-1]), hi=hi,
-                      owner=by_popularity[owner], segment=segment,
-                      columns=columns, cumprobs=np.cumsum(np.sort(probs)))
-    for array in vars(table).values():
-        array.flags.writeable = False
+    columns = np.multiply.outer(-c, library.descending).ravel()
+    # the stable sort merges the S ascending levels, and ties come out level
+    # by level; re-sorting each tie by file, then level, gives the order of
+    # one stable sort over the weights laid out file by file
+    order = np.argsort(columns, kind="stable")
+    level, position = np.divmod(order, n)
+    weights = columns[order]
+    tied = weights[1:] == weights[:-1]
+    if tied.any():
+        tie = np.concatenate(([0], np.cumsum(~tied)))
+        regroup = np.argsort((tie * n + position) * s + level, kind="stable")
+        level, position = level[regroup], position[regroup]
+    table = _Segments(c=c, lo=lo, hi=hi, width=hi - lo,
+                      owner=library.by_popularity[position],
+                      segment=np.concatenate(([s], level)),
+                      columns=columns, cumprobs=library.cumprobs)
+    _freeze(table)
     return table
 
 
@@ -143,30 +194,35 @@ def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
     closed-form floor of the module docstring.  Equal weights fill in
     popularity order, ties in index order, so q is non-increasing in it.
 
-    The segment order comes from the memoised _segments.  Heavy segments are
-    counted by one binary search per level column, which makes the same
-    weight >= c_k x_a comparisons as a pass over all S*N weights."""
+    The segment order comes from the memoised _segments, and the floor loop
+    runs on Python numbers; see the module docstring for the counts."""
     t = _segments(probs.tobytes(), gamma.tobytes())
-    c, lo, hi = t.c, t.lo, t.hi
     n, s = probs.size, gamma.size
-    x_a = (0.0 if alpha == 0.0 else np.inf if alpha == 1.0 else
-           np.min((alpha / (1.0 - alpha) + t.cumprobs) / np.arange(1, n + 1)))
-    # count[k, l]: level-l segments weighing >= c_k x_a, all of them if c_k = 0
-    bound = -np.multiply(c, x_a, out=np.zeros(s), where=c > 0)
-    count = np.array([column.searchsorted(bound, side="right")
-                      for column in t.columns]).T
+    c, lo, hi = t.c.tolist(), t.lo.tolist(), t.hi.tolist()
+    x_a = (0.0 if alpha == 0.0 else math.inf if alpha == 1.0 else
+           float(np.min((alpha / (1.0 - alpha) + t.cumprobs)
+                        / np.arange(1, n + 1))))
+    columns = memoryview(t.columns)
     for k in range(s):                            # levels, increasing q
-        used = count[k, k] * hi[k] + count[k, k + 1:] @ (hi - lo)[k + 1:]
-        mu = (max(lo[k], (cache - used) / (n - count[k, k])) if count[k, k] < n
-              else lo[k] if used >= cache else np.inf)
+        # level-l segments weighing >= c_k x_a, all of them if c_k = 0
+        bound = -(c[k] * x_a) if c[k] > 0 else -0.0
+        count = [bisect.bisect_right(columns, bound, l * n, (l + 1) * n) - l * n
+                 for l in range(s)]
+        # numpy's dot, not a Python sum: the BLAS kernel may fuse the
+        # multiply-adds, and the floor must keep those bits
+        used = count[k] * hi[k] + float(np.dot(count[k + 1:], t.width[k + 1:]))
+        mu = (max(lo[k], (cache - used) / (n - count[k])) if count[k] < n
+              else lo[k] if used >= cache else math.inf)
         if mu <= hi[k]:
             break
-    heavy = count[k].sum()
+    heavy = sum(count)
     # in floating point M - N*mu can come out as -eps
     budget = max(cache - n * mu, 0.0)
-    length = np.maximum(hi - np.maximum(lo, mu), 0.0)[t.segment[:heavy]]
-    end = np.cumsum(length)
-    fill = np.clip(budget - np.concatenate(([0.0], end[:-1])), 0.0, length)
+    # the sorted segments' lengths above mu, after a leading 0.0 (level s)
+    length = np.array([max(h - max(l, mu), 0.0) for l, h in zip(lo, hi)]
+                      + [0.0])[t.segment[:heavy + 1]]
+    start = length[:-1].cumsum()                  # 0.0, then the running sums
+    fill = np.minimum(np.maximum(budget - start, 0.0), length[1:])
     return mu + np.bincount(t.owner[:heavy], weights=fill, minlength=n)
 
 
@@ -230,11 +286,9 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
         raise ValueError("results do not match the alpha grid")
     q_ref = no_adversary_placement(cfg).q
     q_uni = Placement.uniform(cfg.library.num_files, cfg.cache_size).q
-    thr_1 = thr_2 = None
-    for a, res in zip(alphas, results):
-        q = res.q_star.q
-        if thr_1 is None and np.max(np.abs(q - q_ref)) > DISTANCE_TOL:
-            thr_1 = float(a)
-        if thr_2 is None and np.max(np.abs(q - q_uni)) <= DISTANCE_TOL:
-            thr_2 = float(a)
-    return ThresholdResult(alpha_thr_1=thr_1, alpha_thr_2=thr_2)
+    qs = np.array([res.q_star.q for res in results])
+    branched = np.flatnonzero(np.abs(qs - q_ref).max(axis=1) > DISTANCE_TOL)
+    gathered = np.flatnonzero(np.abs(qs - q_uni).max(axis=1) <= DISTANCE_TOL)
+    return ThresholdResult(
+        alpha_thr_1=float(alphas[branched[0]]) if branched.size else None,
+        alpha_thr_2=float(alphas[gathered[0]]) if gathered.size else None)

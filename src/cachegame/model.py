@@ -18,8 +18,8 @@ def _probability_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty one-dimensional vector")
-    # written so that a NaN entry fails the test
-    if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= PROB_TOL):
+    # written so that a NaN entry fails the test: the minimum is then NaN
+    if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= PROB_TOL):
         raise ValueError(f"{name} must be non-negative and sum to 1")
     arr.setflags(write=False)
     return arr
@@ -84,10 +84,13 @@ class Placement:
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("placement must be a non-empty vector")
-        if not np.all((q >= -PROB_TOL) & (q <= 1.0 + PROB_TOL)):
+        low, high = q.min(), q.max()
+        # written so that a NaN entry fails the test: min and max are then NaN
+        if not (low >= -PROB_TOL and high <= 1.0 + PROB_TOL):
             raise ValueError("placement entries must lie in [0, 1]")
         # tolerate solver-level rounding at the box boundary
-        q = np.clip(q, 0.0, 1.0)
+        if low < 0.0 or high > 1.0:
+            q = np.clip(q, 0.0, 1.0)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         if not self.cache_size > 0:

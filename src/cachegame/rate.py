@@ -19,7 +19,10 @@ AdversaryStrategy = PopularityDist
 def deficit_rate(q: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> float:
     """sum_d sum_j gamma_d * w_j * max(1 - d*q_j, 0) on raw arrays."""
     d = np.arange(1, gamma.size + 1, dtype=float)
-    deficit = np.maximum(1.0 - np.outer(d, q), 0.0)
+    # in place: at large N each fresh S x N temporary costs page faults
+    deficit = np.multiply.outer(d, q)
+    np.subtract(1.0, deficit, out=deficit)
+    np.maximum(deficit, 0.0, out=deficit)
     return float(gamma @ deficit @ weights)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greedy_oracle import greedy_placement
 from lp_oracle import lp_equilibrium
 from cachegame import game
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
@@ -37,6 +38,26 @@ def make_config(alpha, probs, gamma, cache):
 
 def reference_config(alpha=0.0):
     return make_config(alpha, zipf_popularity(200, 0.7).probs, GAMMA_R45, 20.0)
+
+
+def tie_heavy_configs():
+    """144 tie-heavy instances: uniform and repeated popularities, zero
+    entries in gamma, M an integer or N/k, alpha at 0 and 1."""
+    cases = []
+    for probs, gamma, alpha in itertools.product(
+            [zipf_popularity(6, 0.0).probs, np.array([3, 3, 2, 2, 2, 1]) / 13,
+             np.array([2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]) / 15],
+            [[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.0, 0.0, 1.0]],
+            [0.0, 0.25, 0.5, 1.0]):
+        for cache in (1.0, 2.0, probs.size / 3, probs.size / 2):
+            cases.append(make_config(alpha, probs, gamma, cache))
+    return cases
+
+
+def tiny_alpha_config():
+    """x_a rounds to p_min: every file is heavy on the bottom level, whose
+    heavy length does not reach M, so the floor lies on the next level."""
+    return make_config(1e-20, [0.9, 0.1], [0.1, 0.9], 1.5)
 
 
 def brute_force_value(probs, gamma, cache, alpha, step=0.02):
@@ -179,18 +200,8 @@ class TestEquilibriumPlacement:
         # every file and the segments tie across files out of popularity order
         cases.append(make_config(0.4, [0.1, 0.3, 0.1, 0.3, 0.2], [0.5, 0.3, 0.2], 2.3))
         cases.append(make_config(0.3, [0.1, 0.2, 0.7, 0.0], [0.0, 0.5, 0.5], 2.7))
-        # tie-heavy: uniform and repeated popularities, zero entries in gamma,
-        # M an integer or N/k, alpha at 0 and 1
-        for probs, gamma, alpha in itertools.product(
-                [zipf_popularity(6, 0.0).probs, np.array([3, 3, 2, 2, 2, 1]) / 13,
-                 np.array([2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]) / 15],
-                [[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.0, 0.0, 1.0]],
-                [0.0, 0.25, 0.5, 1.0]):
-            for cache in (1.0, 2.0, probs.size / 3, probs.size / 2):
-                cases.append(make_config(alpha, probs, gamma, cache))
-        # x_a rounds to p_min: every file is heavy on the bottom level, whose
-        # heavy length does not reach M, so the floor lies on the next level
-        cases.append(make_config(1e-20, [0.9, 0.1], [0.1, 0.9], 1.5))
+        cases += tie_heavy_configs()
+        cases.append(tiny_alpha_config())
         for k, cfg in enumerate(cases):
             _, oracle = lp_equilibrium(cfg, tol=1e-9)
             res = equilibrium_placement(cfg)
@@ -276,9 +287,20 @@ class TestSegmentTable:
         warm = [[equilibrium_placement(cfg).q_star.q for _ in range(2)]
                 for cfg in cases]
         for cfg, qs in zip(cases, warm):
+            game._library.cache_clear()
             game._segments.cache_clear()
             cold = equilibrium_placement(cfg).q_star.q
             assert all(np.array_equal(q, cold) for q in qs)
+
+    def test_radius_sweep_keeps_the_popularity_part(self):
+        game._library.cache_clear()
+        game._segments.cache_clear()
+        profiles = [GAMMA_R45, np.array([0.4, 0.3, 0.2, 0.1])]
+        for gamma in profiles * 3:
+            cfg = make_config(0.3, zipf_popularity(200, 0.7).probs, gamma, 20.0)
+            equilibrium_placement(cfg)
+        assert game._segments.cache_info().misses == 6
+        assert game._library.cache_info()[:2] == (5, 1)   # (hits, misses)
 
     def test_arrays_are_read_only(self):
         cfg = reference_config()
@@ -288,6 +310,75 @@ class TestSegmentTable:
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+class TestGreedyOracle:
+    """The greedy returns the bits of the vectorised greedy it replaced."""
+
+    @staticmethod
+    def random_configs():
+        rng = np.random.default_rng(1212)
+        cases = []
+        for k in range(400):
+            n = int(rng.integers(2, 300)) if k % 20 else int(rng.integers(1000, 4000))
+            s = int(rng.integers(1, 6))
+            kind = k % 4
+            if kind == 0:
+                probs = rng.dirichlet(np.ones(n) * rng.uniform(0.2, 3.0))
+            elif kind == 1:
+                probs = np.full(n, 1.0 / n)
+            elif kind == 2:
+                probs = zipf_popularity(n, float(rng.uniform(0.0, 2.0))).probs
+            else:
+                # rounded weights: many popularities tie exactly
+                weights = rng.integers(0, 4, n).astype(float)
+                weights[0] += 1.0
+                probs = weights / weights.sum()
+            gamma = rng.dirichlet(np.ones(s))
+            if k % 3 == 0 and s > 1:
+                gamma[0] = 0.0          # gamma_1 = 0: the top level weighs 0
+                gamma /= gamma.sum()
+            cache = [float(rng.uniform(0.05, n - 0.05)), n / 2 + 1e-9,
+                     float(rng.integers(1, n))][k % 3]
+            alpha = [0.0, 1.0, round(float(rng.random()), 2), float(rng.random()),
+                     1e-20][k % 5]
+            cases.append(make_config(alpha, probs, gamma, cache))
+        return cases
+
+    @staticmethod
+    def fused_sum_configs():
+        # the floor adds three products here; numpy's dot fused them (an FMA
+        # in the BLAS kernel), and a plain sum moved q by an ulp
+        return [make_config(alpha, zipf_popularity(n, z).probs, gamma, cache)
+                for n, z, gamma, alpha, cache in [
+                    (46, 1.177451094397185,
+                     [0.7060945549243567, 0.07937362229091267, 0.09315889765478162,
+                      0.12137292512994918], 0.29418192737388793, 13.853762155192108),
+                    (25, 1.6337682896411023,
+                     [0.003324221461041934, 0.3351992242511213, 0.09837502135557089,
+                      0.5631015329322658], 0.03252425905753916, 5.693803651638614)]]
+
+    @pytest.mark.parametrize("source", ["random", "tie_heavy", "tiny_alpha", "fused_sum"])
+    def test_bit_identical(self, source):
+        cases = {"random": self.random_configs, "tie_heavy": tie_heavy_configs,
+                 "tiny_alpha": lambda: [tiny_alpha_config()],
+                 "fused_sum": self.fused_sum_configs}[source]()
+        for k, cfg in enumerate(cases):
+            args = (cfg.popularity.probs, cfg.coverage.gamma, cfg.alpha, cfg.cache_size)
+            assert np.array_equal(game._greedy_placement(*args),
+                                  greedy_placement(*args)), (source, k)
+
+    def test_segment_order_is_one_stable_sort_by_file(self):
+        for cfg in tie_heavy_configs()[::4] + [reference_config()]:
+            probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
+            t = game._segments(probs.tobytes(), gamma.tobytes())
+            s = gamma.size
+            c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]
+            by_popularity = np.argsort(-probs, kind="stable")
+            order = np.argsort(np.outer(-c, probs[by_popularity]).T.ravel(),
+                               kind="stable")
+            assert np.array_equal(t.owner, by_popularity[order // s])
+            assert np.array_equal(t.segment, np.append(s, order % s))
 
 
 class TestNoAdversaryPlacement:

@@ -123,6 +123,29 @@ class TestTypes:
         with pytest.raises(ValueError):
             Placement(q=[0.5], cache_size=np.nan)
 
+    @pytest.mark.parametrize("q", [
+        [0.5, np.nan, 0.5], [0.2, 0.3, np.nan], [0.5, np.inf], [0.5, -np.inf],
+        [0.5, 1 + 2e-9],
+    ], ids=["nan_in_middle", "nan_last", "plus_inf", "minus_inf", "past_one"])
+    def test_placement_rejects(self, q):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Placement(q=q, cache_size=3.0)
+
+    @pytest.mark.parametrize("raw", [
+        [-1e-10, 0.5, 1 + 1e-10, -0.0], [-0.0, 0.25, 1.0], [0.0, 1.0],
+    ], ids=["outside", "minus_zero_inside", "inside"])
+    def test_placement_stores_the_clipped_entries(self, raw):
+        q = Placement(q=raw, cache_size=3.0).q
+        clipped = np.clip(raw, 0.0, 1.0)
+        assert q.tolist() == clipped.tolist()
+        assert np.signbit(q).tolist() == np.signbit(clipped).tolist()
+        if raw[0] == -1e-10:
+            assert q.tolist() == [0.0, 0.5, 1.0, 0.0]
+
+    def test_popularity_rejects_nan_between_masses(self):
+        with pytest.raises(ValueError):
+            PopularityDist(probs=[0.5, np.nan, 0.5])
+
     def test_library_validation(self):
         with pytest.raises(ValueError):
             LibraryConfig(num_files=0)

@@ -4,6 +4,7 @@ import pytest
 from cachegame import (AdversaryStrategy, CoverageProfile, Placement,
                        PopularityDist, adversary_rate, best_response,
                        legit_rate, total_rate, zipf_popularity)
+from cachegame.rate import deficit_rate
 
 
 def make_inputs(q, cache=None, gamma=(0.25, 0.25, 0.25, 0.25), probs=None):
@@ -28,6 +29,16 @@ class TestLegitRate:
         # 0.25 * (0.9 + 0.8 + 0.7 + 0.6) regardless of the popularity
         pl, p, cov = make_inputs([0.1] * 5, probs=zipf_popularity(5, 1.3).probs)
         assert legit_rate(pl, p, cov) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("n", [1, 200, 20_000])
+    def test_same_bits_as_the_out_of_place_expression(self, n):
+        rng = np.random.default_rng(n)
+        for s in (1, 4):
+            q, weights = rng.random(n), rng.dirichlet(np.ones(n))
+            gamma = rng.dirichlet(np.ones(s))
+            d = np.arange(1, s + 1, dtype=float)
+            expected = float(gamma @ np.maximum(1.0 - np.outer(d, q), 0.0) @ weights)
+            assert deficit_rate(q, weights, gamma) == expected
 
     def test_dimension_mismatch(self):
         pl, _, cov = make_inputs([0.5, 0.5])
