@@ -1,10 +1,11 @@
 """Command-line driver: builds instances from a config file and emits CSV.
 
-Subcommands: gamma, placement, sweep-alpha, sweep-r, sweep-cache,
-thresholds, simulate.  A grid is 'a:b:step' (a, a + step, ... up to and
-never past b) or a comma list; it must be sorted and finite.  The coverage
-profile is exact, so `--samples` is accepted but ignored.  Exit codes:
-0 success, 2 invalid configuration (a NaN or infinite value included).
+Commands: gamma, placement, sweep-alpha, sweep-r, sweep-cache, thresholds,
+simulate; the options may come before or after the command.  A grid is
+'a:b:step' (a, a + step, ... up to and never past b) or a comma list; it
+must be sorted and finite.  The coverage profile is exact, so `--samples`
+is accepted but ignored.  Exit codes: 0 success, 2 invalid configuration
+(a NaN or infinite value included).
 """
 
 from __future__ import annotations
@@ -75,13 +76,9 @@ def _rate_cells(res: game.EquilibriumResult) -> list[str]:
 
 
 def _coverage_areas(cfg: dict) -> geometry.CoverageAreas:
-    geom = geometry.NetworkGeometry(
-        mbs_radius=cfg["mbs_radius_m"],
-        sbs_spacing=cfg["sbs_spacing_m"],
-        sbs_radius=cfg["sbs_radius_m"],
-        user_density=cfg["user_density_per_m2"],
-    )
-    return geometry.coverage_areas(geom)
+    return geometry.coverage_areas(geometry.NetworkGeometry(
+        mbs_radius=cfg["mbs_radius_m"], sbs_spacing=cfg["sbs_spacing_m"],
+        sbs_radius=cfg["sbs_radius_m"], user_density=cfg["user_density_per_m2"]))
 
 
 def build_game_config(cfg: dict, samples: int | None = None) -> GameConfig:
@@ -91,12 +88,10 @@ def build_game_config(cfg: dict, samples: int | None = None) -> GameConfig:
     the Monte Carlo sample count the coverage profile used to need.
     """
     return GameConfig(
-        alpha=cfg["alpha"],
-        library=LibraryConfig(num_files=cfg["num_files"]),
+        alpha=cfg["alpha"], library=LibraryConfig(num_files=cfg["num_files"]),
         popularity=zipf_popularity(cfg["num_files"], cfg["zipf_exponent"]),
         coverage=geometry.coverage_profile(_coverage_areas(cfg)),
-        cache_size=cfg["cache_size"],
-    )
+        cache_size=cfg["cache_size"])
 
 
 def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
@@ -230,31 +225,27 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="key = value config file")
-    common.add_argument("--out", type=Path, help="output CSV path (default stdout)")
-    common.add_argument("--samples", type=int, default=1_000_000,
-                        help="ignored: the coverage profile is exact; accepted "
-                             "so that older command lines still run")
-    common.add_argument("--alpha-grid", type=parse_grid, default="0:1:0.01",
-                        help="alpha sweep grid, a:b:step or comma list")
-    common.add_argument("--r-grid", type=parse_grid, default="45:60:5",
-                        help="SBS radius grid in meters")
-    common.add_argument("--cache-grid", type=parse_grid, default="10:40:10",
-                        help="cache size grid in files")
-    common.add_argument("--requests", type=int, default=100_000,
-                        help="requests per simulated row")
-    for key, typ in CONFIG_KEYS.items():
-        common.add_argument(f"--{key}", type=typ, dest=key, default=None,
-                            help=f"override config key {key}")
-
     parser = argparse.ArgumentParser(
         prog="cachegame",
         description="Adversary-robust coded cache placement experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("command", choices=COMMANDS, help="what to compute")
+    parser.add_argument("--config", type=Path, help="key = value config file")
+    parser.add_argument("--out", type=Path, help="output CSV path (default stdout)")
+    parser.add_argument("--samples", type=int, default=1_000_000,
+                        help="ignored: the coverage profile is exact; accepted "
+                             "so that older command lines still run")
+    parser.add_argument("--alpha-grid", type=parse_grid, default="0:1:0.01",
+                        help="alpha sweep grid, a:b:step or comma list")
+    parser.add_argument("--r-grid", type=parse_grid, default="45:60:5",
+                        help="SBS radius grid in meters")
+    parser.add_argument("--cache-grid", type=parse_grid, default="10:40:10",
+                        help="cache size grid in files")
+    parser.add_argument("--requests", type=int, default=100_000,
+                        help="requests per simulated row")
+    for key, typ in CONFIG_KEYS.items():
+        parser.add_argument(f"--{key}", type=typ, dest=key, default=None,
+                            help=f"override config key {key}")
     return parser
 
 

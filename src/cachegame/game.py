@@ -38,25 +38,24 @@ Allocation Problems, 1988):
   weights p_j c_l of one level l fall with popularity, so one binary search
   per level counts its heavy segments.  Past a = 1 - 1/(N p_max),
   x_a > p_max: nothing above mu is heavy, q* is uniform.
-- Cost per solve.  What depends on the popularity alone (its order and the
-  prefix sums P_m of the m smallest p) is memoised per popularity, the
-  segment order per (popularity, coverage) pair.  The floor loop runs on
-  Python numbers and bisects a level's column only on the levels it visits:
-  S bisections of about log2 N steps per level.  So a solve makes a fixed
-  few numpy calls, plus one dot per level visited, whatever N is.
+- Cost per solve.  What depends on the popularity alone is memoised per
+  popularity, the segment order per (popularity, coverage) pair, each in
+  one slot that a call with equal input bytes reuses.  The floor loop runs
+  on Python numbers and bisects a level's column only on the levels it
+  visits: S bisections of about log2 N steps per level.  So a solve makes a
+  fixed few numpy calls, plus one dot per level visited, whatever N is.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GameConfig, Placement, RateBreakdown
-from .rate import AdversaryStrategy, adversary_rate, legit_rate, total_rate
+from .rate import adversary_rate, legit_rate, total_rate
 
 # infinity-norm distance at which detect_thresholds calls two placements apart
 DISTANCE_TOL = 1e-3
@@ -83,21 +82,19 @@ class ThresholdResult:
     alpha_thr_2: float | None
 
 
-def best_response(placement: Placement) -> tuple[int, AdversaryStrategy]:
-    """Adversary best response: point mass on the least cached file.
-
-    Ties break to the lowest index; the achieved rate is tie-independent.
+def best_response(placement: Placement) -> int:
+    """Adversary best response: every adversary requests j_star, the least
+    cached file.  Ties break to the lowest index; the rate is tie-independent.
     """
-    j_star = int(placement.q.argmin())
-    return j_star, AdversaryStrategy.point_mass(placement.num_files, j_star)
+    return int(placement.q.argmin())
 
 
 def _rate(placement: Placement, cfg: GameConfig) -> tuple[int, RateBreakdown]:
     """evaluate, plus the adversaries' target j_star."""
-    j_star, strategy = best_response(placement)
+    j_star = best_response(placement)
     return j_star, total_rate(cfg.alpha,
                               legit_rate(placement, cfg.popularity, cfg.coverage),
-                              adversary_rate(placement, cfg.coverage, strategy))
+                              adversary_rate(placement, cfg.coverage, j_star))
 
 
 def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
@@ -105,9 +102,26 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     return _rate(placement, cfg)[1]
 
 
-def _freeze(table) -> None:
-    for array in vars(table).values():
-        array.flags.writeable = False
+class _Memo:
+    """One-slot memo of a table builder keyed by bytes: equal bytes (a memcmp,
+    not a hash) reuse the last table, kept with its key in one tuple."""
+
+    def __init__(self, build):
+        self.build = build
+        self.clear()
+
+    def clear(self) -> None:
+        self.last, self.hits, self.misses = (None, None), 0, 0
+
+    def __call__(self, *key: bytes):
+        last_key, table = self.last
+        if key == last_key:
+            self.hits += 1
+        else:
+            table = self.build(*key)
+            self.last = key, table
+            self.misses += 1
+        return table
 
 
 @dataclass(frozen=True)
@@ -116,23 +130,26 @@ class _Library:
 
     Every array is read-only.  by_popularity lists the files most popular
     first, ties in index order, and descending their probabilities;
-    cumprobs[m - 1] is the sum P_m of the m smallest probabilities.
+    cumprobs[m - 1] = P_m, the sum of the m smallest, and ranks[m - 1] = m.
     """
 
     by_popularity: np.ndarray
     descending: np.ndarray
     cumprobs: np.ndarray
+    ranks: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
+@_Memo
 def _library(probs_bytes: bytes) -> _Library:
     """The popularity part of the segment table, keyed by the bytes of the
     float64 popularity vector; a radius sweep reuses it for every gamma."""
     probs = np.frombuffer(probs_bytes)
     by_popularity = np.argsort(-probs, kind="stable")
     library = _Library(by_popularity=by_popularity, descending=probs[by_popularity],
-                       cumprobs=np.cumsum(np.sort(probs)))
-    _freeze(library)
+                       cumprobs=np.cumsum(np.sort(probs)),
+                       ranks=np.arange(1.0, probs.size + 1))
+    for array in vars(library).values():
+        array.setflags(write=False)
     return library
 
 
@@ -140,25 +157,25 @@ def _library(probs_bytes: bytes) -> _Library:
 class _Segments:
     """The sorted segment order of one (popularity, coverage) pair.
 
-    Every array is read-only.  Level k spans [lo[k], hi[k]], of width
+    Every field is read-only.  Level k spans [lo[k], hi[k]], of width
     width[k], and weighs c[k] per unit of popularity.  Sorted segment i
     belongs to file owner[i] and level segment[i + 1]; segment[0] is S, a
-    level of length 0 that starts the running sums.  columns holds the negated
-    weights -p_j c_l level by level, each level's N in popularity order, so
-    ascending within a level.  cumprobs comes from _Library.
+    level of length 0 that starts the running sums.  columns views the
+    negated weights -p_j c_l level by level, each level's N in popularity
+    order, so ascending within a level.
     """
 
-    c: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    c: tuple[float, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
     width: np.ndarray
     owner: np.ndarray
     segment: np.ndarray
-    columns: np.ndarray
-    cumprobs: np.ndarray
+    columns: memoryview
+    library: _Library
 
 
-@functools.lru_cache(maxsize=1)
+@_Memo
 def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
     """The segment table of the module docstring, keyed by the bytes of the
     float64 popularity and coverage vectors; it depends on nothing else."""
@@ -180,29 +197,27 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
         tie = np.concatenate(([0], np.cumsum(~tied)))
         regroup = np.argsort((tie * n + position) * s + level, kind="stable")
         level, position = level[regroup], position[regroup]
-    table = _Segments(c=c, lo=lo, hi=hi, width=hi - lo,
-                      owner=library.by_popularity[position],
-                      segment=np.concatenate(([s], level)),
-                      columns=columns, cumprobs=library.cumprobs)
-    _freeze(table)
-    return table
+    width, owner = hi - lo, library.by_popularity[position]
+    segment = np.concatenate(([s], level))
+    for array in (columns, width, owner, segment):
+        array.setflags(write=False)
+    return _Segments(c=tuple(c.tolist()), lo=tuple(lo.tolist()),
+                     hi=tuple(hi.tolist()), width=width, owner=owner,
+                     segment=segment, columns=memoryview(columns),
+                     library=library)
 
 
 def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
                       cache: float) -> np.ndarray:
     """Exact minimizer of the leader's objective: the greedy fill above the
     closed-form floor of the module docstring.  Equal weights fill in
-    popularity order, ties in index order, so q is non-increasing in it.
-
-    The segment order comes from the memoised _segments, and the floor loop
-    runs on Python numbers; see the module docstring for the counts."""
+    popularity order, ties in index order, so q is non-increasing in it."""
     t = _segments(probs.tobytes(), gamma.tobytes())
     n, s = probs.size, gamma.size
-    c, lo, hi = t.c.tolist(), t.lo.tolist(), t.hi.tolist()
+    c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
     x_a = (0.0 if alpha == 0.0 else math.inf if alpha == 1.0 else
-           float(np.min((alpha / (1.0 - alpha) + t.cumprobs)
-                        / np.arange(1, n + 1))))
-    columns = memoryview(t.columns)
+           float(np.min((alpha / (1.0 - alpha) + t.library.cumprobs)
+                        / t.library.ranks)))
     for k in range(s):                            # levels, increasing q
         # level-l segments weighing >= c_k x_a, all of them if c_k = 0
         bound = -(c[k] * x_a) if c[k] > 0 else -0.0
@@ -254,9 +269,8 @@ def worst_case_rate(cfg: GameConfig) -> float:
     With alpha = 1 the leader plays uniformly, q_j = M/N, and the rate is
     sum_d gamma_d max(1 - d M/N, 0).
     """
-    frac = cfg.cache_size / cfg.library.num_files
-    d = np.arange(1, cfg.coverage.max_coverage + 1, dtype=float)
-    return float(cfg.coverage.gamma @ np.maximum(1.0 - d * frac, 0.0))
+    uniform = Placement.uniform(cfg.library.num_files, cfg.cache_size)
+    return adversary_rate(uniform, cfg.coverage, 0)
 
 
 def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:

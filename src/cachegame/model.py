@@ -50,14 +50,6 @@ class PopularityDist:
     def num_files(self) -> int:
         return self.probs.size
 
-    @classmethod
-    def point_mass(cls, num_files: int, target: int) -> "PopularityDist":
-        if not 0 <= target < num_files:
-            raise ValueError("target file out of range")
-        probs = np.zeros(num_files)
-        probs[target] = 1.0
-        return cls(probs=probs)
-
 
 @dataclass(frozen=True)
 class CoverageProfile:

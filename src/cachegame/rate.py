@@ -7,13 +7,12 @@ Rates are normalized per request and per file.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
                     PROB_TOL)
-
-# the adversaries' request distribution; the best response is a point mass
-AdversaryStrategy = PopularityDist
 
 
 def deficit_rate(q: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> float:
@@ -28,18 +27,21 @@ def deficit_rate(q: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> float
 
 def legit_rate(placement: Placement, popularity: PopularityDist,
                coverage: CoverageProfile) -> float:
-    """Average backhaul rate of a legitimate user requesting by popularity."""
+    """Average backhaul rate of users requesting by `popularity` or a mixed strategy."""
     if popularity.num_files != placement.num_files:
         raise ValueError("popularity size does not match the placement")
     return deficit_rate(placement.q, popularity.probs, coverage.gamma)
 
 
 def adversary_rate(placement: Placement, coverage: CoverageProfile,
-                   strategy: AdversaryStrategy) -> float:
-    """Average backhaul rate of an adversary user with the given strategy."""
-    if strategy.probs.size != placement.num_files:
-        raise ValueError("strategy size does not match the placement")
-    return deficit_rate(placement.q, strategy.probs, coverage.gamma)
+                   target: int) -> float:
+    """Backhaul rate of an adversary requesting file `target` (0-based),
+    h(q_target) = sum_d gamma_d max(1 - d q_target, 0), summed by math.fsum."""
+    if not 0 <= target < placement.num_files:
+        raise ValueError("target file out of range")
+    x = float(placement.q[target])
+    return math.fsum([g * (1.0 - d * x) for d, g in
+                      enumerate(coverage.gamma.tolist(), start=1) if d * x < 1.0])
 
 
 def total_rate(alpha: float, r_legit: float, r_adv: float) -> RateBreakdown:

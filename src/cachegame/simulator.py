@@ -55,8 +55,10 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
         raise ValueError("need at least two requests for a standard error")
     rng = np.random.default_rng(seed)
     m = quantize_placement(placement, n, cfg.popularity)
-    _, target = best_response(Placement(q=m / n, cache_size=placement.cache_size))
-    p = (1.0 - cfg.alpha) * cfg.popularity.probs + cfg.alpha * target.probs
+    target = best_response(Placement(q=m / n, cache_size=placement.cache_size))
+    # the bits of (1 - alpha) p + alpha e_target
+    p = (1.0 - cfg.alpha) * cfg.popularity.probs
+    p[target] += cfg.alpha
     gamma = cfg.coverage.gamma
     d = np.arange(1, gamma.size + 1)
 

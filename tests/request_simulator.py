@@ -25,7 +25,7 @@ def simulate_requests(placement, cfg, n: int, num_requests: int,
         raise ValueError("need at least two requests for a standard error")
     rng = np.random.default_rng(seed)
     m = quantize_placement(placement, n, cfg.popularity)
-    j_star, _ = best_response(Placement(q=m / n, cache_size=placement.cache_size))
+    j_star = best_response(Placement(q=m / n, cache_size=placement.cache_size))
     num_files = placement.num_files
     s = cfg.coverage.max_coverage
 

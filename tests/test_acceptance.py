@@ -282,5 +282,5 @@ def test_criterion_10_dominance():
             pl = Placement(q=q, cache_size=q.sum() + 0.01)
             pop = PopularityDist(probs=rng.dirichlet(np.ones(n)))
             cov = CoverageProfile(gamma=rng.dirichlet(np.ones(s)))
-            _, strat = best_response(pl)
-            assert adversary_rate(pl, cov, strat) >= legit_rate(pl, pop, cov) - 1e-12
+            j_star = best_response(pl)
+            assert adversary_rate(pl, cov, j_star) >= legit_rate(pl, pop, cov) - 1e-12

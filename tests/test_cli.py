@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +356,67 @@ class TestExactCoverage:
             assert main(["gamma", "--config", str(config_path), *extra]) == 0
             outputs.append(capsys.readouterr().out.encode())
         assert all(out == outputs[0] for out in outputs)
+
+
+class TestParser:
+    def test_options_before_and_after_the_command(self):
+        options = ["--alpha-grid", "0,0.5", "--seed", "3", "--num_files", "50",
+                   "--samples", "10000"]
+        after = build_parser().parse_args(["thresholds", *options])
+        before = build_parser().parse_args([*options, "thresholds"])
+        assert vars(before) == vars(after)
+        assert after.command == "thresholds" and after.seed == 3
+        assert after.alpha_grid == [0.0, 0.5] and after.samples == 10_000
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep-radius"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "1"])
+        assert exit_info.value.code == 2
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.COMMANDS)
+        assert len(cli.COMMANDS) == 7
+
+
+# the argv of the benchmark's CLI workload, each run with --seed 1
+GOLDEN_ARGV = {
+    "gamma": [],
+    "placement": ["--alpha", "0.4"],
+    "sweep-alpha": ["--alpha-grid", "0:1:0.01"],
+    "sweep-r": ["--r-grid", "43:60:0.5"],
+    "sweep-cache": ["--cache-grid", "10:40:5"],
+    "thresholds": ["--alpha-grid", "0:1:0.01"],
+    "simulate": ["--alpha-grid", "0,0.5,1"],
+}
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenBytes:
+    """The CLI's stdout and CSV bytes, recorded in tests/golden.
+
+    A change that means to alter these bytes updates the golden files in
+    the same commit and says so.
+    """
+
+    @pytest.mark.parametrize("name", GOLDEN_ARGV)
+    def test_bytes(self, name, tmp_path, capsys):
+        out = tmp_path / f"{name}.csv"
+        stdout = (GOLDEN / f"{name}.stdout").read_bytes()
+        table = (GOLDEN / f"{name}.csv").read_bytes()
+        argv = [name, *GOLDEN_ARGV[name], "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == stdout
+        assert out.read_bytes() == table
+        # without --out the table follows the same lines on stdout
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == stdout + table

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -92,20 +93,17 @@ def brute_force_value(probs, gamma, cache, alpha, step=0.02):
 class TestBestResponse:
     def test_unique_argmin(self):
         pl = Placement(q=[0.5, 0.2, 0.9], cache_size=2.0)
-        j, strat = best_response(pl)
-        assert j == 1
-        assert strat.probs.tolist() == [0.0, 1.0, 0.0]
+        j = best_response(pl)
+        assert j == 1 and type(j) is int
 
     def test_tie_breaks_to_lowest_index(self):
         pl = Placement(q=[0.3, 0.3], cache_size=1.0)
-        assert best_response(pl)[0] == 0
+        assert best_response(pl) == 0
 
     def test_rate_invariant_under_tie_choice(self):
-        from cachegame import AdversaryStrategy
         pl = Placement(q=[0.25, 0.25, 0.25, 0.25], cache_size=1.0)
         cov = CoverageProfile(gamma=[0.5, 0.5])
-        rates = [adversary_rate(pl, cov, AdversaryStrategy.point_mass(4, j))
-                 for j in range(4)]
+        rates = [adversary_rate(pl, cov, j) for j in range(4)]
         assert max(rates) - min(rates) < 1e-15
 
 
@@ -271,10 +269,9 @@ class TestEquilibriumPlacement:
 
 class TestSegmentTable:
     def test_one_sort_per_sweep(self):
-        game._segments.cache_clear()
+        game._segments.clear()
         sweep_equilibria(reference_config(), np.linspace(0, 1, 21))
-        info = game._segments.cache_info()
-        assert (info.misses, info.hits) == (1, 20)
+        assert (game._segments.misses, game._segments.hits) == (1, 20)
 
     def test_alternating_instances_match_cold_solves(self):
         libraries = [zipf_popularity(200, z).probs for z in (0.7, 0.8)]
@@ -287,29 +284,46 @@ class TestSegmentTable:
         warm = [[equilibrium_placement(cfg).q_star.q for _ in range(2)]
                 for cfg in cases]
         for cfg, qs in zip(cases, warm):
-            game._library.cache_clear()
-            game._segments.cache_clear()
+            game._library.clear()
+            game._segments.clear()
             cold = equilibrium_placement(cfg).q_star.q
             assert all(np.array_equal(q, cold) for q in qs)
 
     def test_radius_sweep_keeps_the_popularity_part(self):
-        game._library.cache_clear()
-        game._segments.cache_clear()
+        game._library.clear()
+        game._segments.clear()
         profiles = [GAMMA_R45, np.array([0.4, 0.3, 0.2, 0.1])]
         for gamma in profiles * 3:
             cfg = make_config(0.3, zipf_popularity(200, 0.7).probs, gamma, 20.0)
             equilibrium_placement(cfg)
-        assert game._segments.cache_info().misses == 6
-        assert game._library.cache_info()[:2] == (5, 1)   # (hits, misses)
+        assert game._segments.misses == 6
+        assert (game._library.hits, game._library.misses) == (5, 1)
 
     def test_arrays_are_read_only(self):
         cfg = reference_config()
         table = game._segments(cfg.popularity.probs.tobytes(),
                                cfg.coverage.gamma.tobytes())
-        for name, array in vars(table).items():
-            assert not array.flags.writeable, name
-            with pytest.raises(ValueError):
-                array[0] = 0
+        fields = {**vars(table), **vars(table.library)}
+        del fields["library"]
+        for name, value in fields.items():
+            # tuples, read-only memoryviews and read-only arrays refuse a write
+            with pytest.raises((TypeError, ValueError)):
+                value[0] = 0
+        assert table.columns.readonly
+
+    def test_a_hit_needs_equal_bytes(self):
+        cfg = reference_config()
+        game._segments.clear()
+        equilibrium_placement(cfg)
+        # the same content in fresh arrays hits, one changed bit misses
+        probs = cfg.popularity.probs.copy()
+        equilibrium_placement(dataclasses.replace(
+            cfg, popularity=PopularityDist(probs=probs)))
+        assert (game._segments.hits, game._segments.misses) == (1, 1)
+        probs[[0, 1]] = np.nextafter(probs[0], 1.0), np.nextafter(probs[1], 0.0)
+        equilibrium_placement(dataclasses.replace(
+            cfg, popularity=PopularityDist(probs=probs)))
+        assert (game._segments.hits, game._segments.misses) == (1, 2)
 
 
 class TestGreedyOracle:
@@ -486,8 +500,8 @@ class TestSweepAndThresholds:
             alpha = rng.random()
 
             def value(placement):
-                _, strat = best_response(placement)
                 return total_rate(alpha, legit_rate(placement, probs, cov),
-                                  adversary_rate(placement, cov, strat)).r_total
+                                  adversary_rate(placement, cov,
+                                                 best_response(placement))).r_total
 
             assert value(sorted_pl) <= value(pl) + 1e-12

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cachegame import (AdversaryStrategy, CoverageProfile, GameConfig,
-                       LibraryConfig, Placement, PopularityDist,
-                       quantize_placement, zipf_popularity)
+from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
+                       PopularityDist, quantize_placement, zipf_popularity)
 from cachegame.model import CONFIG_KEYS, load_config
 
 # head probability of the Zipf law for N=200, z=0.7, frozen from a
@@ -167,8 +166,9 @@ class TestTypes:
             p.probs[0] = 0.9
 
 
+# a mixed strategy of the adversaries is a PopularityDist too, rated by legit_rate
 @pytest.mark.parametrize("cls, field", [
-    (PopularityDist, "probs"), (CoverageProfile, "gamma"), (AdversaryStrategy, "probs"),
+    (PopularityDist, "probs"), (CoverageProfile, "gamma"), (PopularityDist, "probs"),
 ], ids=["popularity", "coverage", "strategy"])
 class TestProbabilityVector:
     def test_accepts_a_distribution_read_only(self, cls, field):

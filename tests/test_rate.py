@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cachegame import (AdversaryStrategy, CoverageProfile, Placement,
-                       PopularityDist, adversary_rate, best_response,
-                       legit_rate, total_rate, zipf_popularity)
+from cachegame import (CoverageProfile, Placement, PopularityDist,
+                       adversary_rate, best_response, legit_rate, total_rate,
+                       zipf_popularity)
 from cachegame.rate import deficit_rate
 
 
@@ -48,33 +48,44 @@ class TestLegitRate:
 
 class TestAdversaryRate:
     def test_popularity_strategy_recovers_legit_rate(self):
+        # a mixed strategy that requests by the popularity, as a mixture of targets
         pl, p, cov = make_inputs([0.3, 0.1, 0.6], probs=[0.5, 0.2, 0.3])
-        strat = AdversaryStrategy(probs=p.probs)
-        assert adversary_rate(pl, cov, strat) == pytest.approx(legit_rate(pl, p, cov))
+        mixed = sum(w * adversary_rate(pl, cov, j) for j, w in enumerate(p.probs))
+        assert mixed == pytest.approx(legit_rate(pl, p, cov))
 
     def test_constant_placement_ignores_strategy(self):
         pl, _, cov = make_inputs([0.2, 0.2, 0.2])
         d = np.arange(1, 5)
         expected = float(cov.gamma @ np.maximum(1 - d * 0.2, 0.0))
         for target in range(3):
-            strat = AdversaryStrategy.point_mass(3, target)
-            assert adversary_rate(pl, cov, strat) == pytest.approx(expected)
+            assert adversary_rate(pl, cov, target) == pytest.approx(expected)
+        strat = PopularityDist(probs=[0.1, 0.6, 0.3])
+        assert legit_rate(pl, strat, cov) == pytest.approx(expected)
 
     def test_single_coverage_point_mass(self):
         pl, _, cov = make_inputs([0.5, 0.2], gamma=[1.0])
-        strat = AdversaryStrategy.point_mass(2, 1)
-        assert adversary_rate(pl, cov, strat) == pytest.approx(0.8)
-
-
-    def test_strategy_of_another_size(self):
-        pl, _, cov = make_inputs([0.5, 0.5])
-        with pytest.raises(ValueError, match="strategy size"):
-            adversary_rate(pl, cov, AdversaryStrategy.point_mass(3, 0))
+        assert adversary_rate(pl, cov, 1) == pytest.approx(0.8)
 
     @pytest.mark.parametrize("target", [-1, 3])
     def test_point_mass_target_out_of_range(self, target):
+        # a negative target must not wrap round to the last file
+        pl, _, cov = make_inputs([0.5, 0.2, 0.1])
         with pytest.raises(ValueError, match="out of range"):
-            AdversaryStrategy.point_mass(3, target)
+            adversary_rate(pl, cov, target)
+
+    def test_one_hot_deficit_rate_within_two_ulps(self):
+        rng = np.random.default_rng(1313)
+        for _ in range(2000):
+            n, s = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            q = rng.random(n) * rng.choice([0.3, 1.0])
+            gamma = rng.dirichlet(np.ones(s))
+            target = int(rng.integers(n))
+            one_hot = np.zeros(n)
+            one_hot[target] = 1.0
+            expected = deficit_rate(q, one_hot, gamma)
+            got = adversary_rate(Placement(q=q, cache_size=n),
+                                 CoverageProfile(gamma=gamma), target)
+            assert abs(got - expected) <= 2 * np.spacing(expected), (n, s, target)
 
 
 class TestTotalRate:
@@ -110,17 +121,16 @@ class TestProperties:
             bigger = Placement(q=np.minimum(pl.q + rng.random(pl.num_files) * 0.2, 1.0),
                                cache_size=pl.num_files)
             assert legit_rate(bigger, p, cov) <= legit_rate(pl, p, cov) + 1e-12
-            _, s1 = best_response(pl)
-            _, s2 = best_response(bigger)
-            assert (adversary_rate(bigger, cov, s2)
-                    <= adversary_rate(pl, cov, s1) + 1e-12)
+            assert (adversary_rate(bigger, cov, best_response(bigger))
+                    <= adversary_rate(pl, cov, best_response(pl)) + 1e-12)
 
     def test_best_response_dominates_legit(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
             pl, p, cov = random_instance(rng)
-            _, strat = best_response(pl)
-            assert adversary_rate(pl, cov, strat) >= legit_rate(pl, p, cov) - 1e-12
+            j_star = best_response(pl)
+            assert isinstance(j_star, int)
+            assert adversary_rate(pl, cov, j_star) >= legit_rate(pl, p, cov) - 1e-12
 
     def test_objective_convex_in_placement(self):
         rng = np.random.default_rng(44)
@@ -133,9 +143,9 @@ class TestProperties:
             mid = Placement(q=lam * pl.q + (1 - lam) * q2, cache_size=pl.num_files)
 
             def obj(placement):
-                _, strat = best_response(placement)
                 return total_rate(alpha, legit_rate(placement, p, cov),
-                                  adversary_rate(placement, cov, strat)).r_total
+                                  adversary_rate(placement, cov,
+                                                 best_response(placement))).r_total
 
             assert obj(mid) <= lam * obj(pl) + (1 - lam) * obj(pl2) + 1e-12
 
@@ -143,6 +153,5 @@ class TestProperties:
         rng = np.random.default_rng(45)
         for _ in range(200):
             pl, p, cov = random_instance(rng)
-            _, strat = best_response(pl)
             assert 0.0 <= legit_rate(pl, p, cov) <= 1.0
-            assert 0.0 <= adversary_rate(pl, cov, strat) <= 1.0
+            assert 0.0 <= adversary_rate(pl, cov, best_response(pl)) <= 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from cachegame import (AdversaryStrategy, CoverageProfile, GameConfig,
+from cachegame import (CoverageProfile, GameConfig,
                        LibraryConfig, NetworkGeometry, Placement,
                        PopularityDist,
                        adversary_rate, best_response, coverage_areas_unit_cell,
@@ -28,11 +28,12 @@ def make_config(alpha, num_files=20, cache=4.0, gamma=GAMMA_R45, z=0.7):
     )
 
 
-def analytic_total(placement, cfg, strategy):
+def analytic_total(placement, cfg, target):
+    """The rates mixed by alpha, the adversaries all requesting `target`."""
     return total_rate(
         cfg.alpha,
         legit_rate(placement, cfg.popularity, cfg.coverage),
-        adversary_rate(placement, cfg.coverage, strategy),
+        adversary_rate(placement, cfg.coverage, target),
     ).r_total
 
 
@@ -121,7 +122,7 @@ class TestSimulate:
         m = quantize_placement(res.q_star, n, cfg.popularity)
         assert (res.j_star, m[res.j_star], m[121], m.min()) == (20, 6, 5, 5)
         deployed = Placement(q=m / n, cache_size=cfg.cache_size)
-        target = AdversaryStrategy.point_mass(200, int(np.argmin(m)))
+        target = int(np.argmin(m))
         report = simulate(res.q_star, cfg, n, 100_000, seed=805)
         expected = analytic_total(deployed, cfg, target)
         assert abs(report.backhaul_fraction_mean - expected) <= (
@@ -140,10 +141,10 @@ class TestSimulate:
                              cache_size=min(q.sum() + 0.2, size - 0.01))
             m = quantize_placement(pl, n, cfg.popularity)
             quantized = Placement(q=m / n, cache_size=pl.cache_size)
-            j_star, _ = best_response(pl)
-            strat = AdversaryStrategy.point_mass(size, j_star)
-            gap = abs(analytic_total(pl, cfg, strat)
-                      - analytic_total(quantized, cfg, strat))
+            # the same target on both sides: q's least cached file
+            j_star = best_response(pl)
+            gap = abs(analytic_total(pl, cfg, j_star)
+                      - analytic_total(quantized, cfg, j_star))
             assert gap <= cov.max_coverage / n + 1e-12
 
     def test_a_trillion_requests(self):
