@@ -97,15 +97,16 @@ def build_game_config(cfg: dict, samples: int | None = None) -> GameConfig:
 def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
     areas = _coverage_areas(cfg)
     gamma = geometry.coverage_profile(areas).gamma
-    rows = [[str(d + 1), _fmt(areas.areas[d]), _fmt(gamma[d])]
-            for d in range(gamma.size)]
+    rows = [[str(d), _fmt(area), _fmt(g)] for d, (area, g)
+            in enumerate(zip(areas.areas.tolist(), gamma.tolist()), start=1)]
     return rows, ["d", "area_m2", "gamma"]
 
 
 def cmd_placement(cfg: dict, args):
     gcfg = build_game_config(cfg)
     res = game.equilibrium_placement(gcfg)
-    row = [_fmt(gcfg.alpha), *_rate_cells(res), *[_fmt(v) for v in res.q_star.q]]
+    row = [_fmt(gcfg.alpha), *_rate_cells(res),
+           *[_fmt(v) for v in res.q_star.q.tolist()]]
     header = ["alpha", *RATE_HEADER,
               *[f"q_{j}" for j in range(1, gcfg.library.num_files + 1)]]
     return [row], header
@@ -132,9 +133,13 @@ def cmd_sweep_alpha(cfg: dict, args):
 
 
 def cmd_sweep_r(cfg: dict, args):
+    # only the coverage changes with the radius, so the rest is built once;
     # every radius is checked before the first solve
-    configs = [build_game_config(dict(cfg, sbs_radius_m=r)) for r in args.r_grid]
-    rows = [[_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma],
+    first, *rest = args.r_grid
+    base = build_game_config(dict(cfg, sbs_radius_m=first))
+    configs = [base, *(dataclasses.replace(base, coverage=geometry.coverage_profile(
+        _coverage_areas(dict(cfg, sbs_radius_m=r)))) for r in rest)]
+    rows = [[_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma.tolist()],
              *_rate_cells(game.equilibrium_placement(gcfg))]
             for r, gcfg in zip(args.r_grid, configs)]
     header = ["r_m", *[f"gamma_{d}" for d in range(1, geometry.MAX_COVERAGE + 1)],
@@ -152,23 +157,32 @@ def cmd_sweep_cache(cfg: dict, args):
     return rows, header
 
 
+def _threshold_columns(qs: np.ndarray, q_ref: np.ndarray,
+                       uniform: float) -> list[np.ndarray]:
+    """The q_min, q_max, q_mu, dist_noadv and dist_uniform columns of the
+    stacked placements qs, one per row; qs is overwritten.
+
+    q_mu is a row's last entry above 1e-9, or 0.0 when there is none.
+    """
+    q_min, q_max = qs.min(axis=1), qs.max(axis=1)
+    above = qs > 1e-9
+    last = qs.shape[1] - 1 - above[:, ::-1].argmax(axis=1)
+    q_mu = np.where(above.any(axis=1), qs[np.arange(qs.shape[0]), last], 0.0)
+    return [q_min, q_max, q_mu, *game._distances(qs, q_ref, uniform)]
+
+
 def cmd_thresholds(cfg: dict, args):
     gcfg = build_game_config(cfg)
     alphas = args.alpha_grid
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
     q_ref = game.no_adversary_placement(gcfg).q
-    q_uni = Placement.uniform(gcfg.library.num_files, gcfg.cache_size).q
-    rows = []
-    for alpha, res in zip(alphas, results):
-        q = res.q_star.q
-        nonzero = np.nonzero(q > 1e-9)[0]
-        q_mu = q[nonzero[-1]] if nonzero.size else 0.0
-        rows.append([
-            _fmt(alpha), _fmt(q.min()), _fmt(q.max()), _fmt(q_mu),
-            _fmt(np.max(np.abs(q - q_ref))), _fmt(np.max(np.abs(q - q_uni))),
-            _fmt(res.rates.r_total),
-        ])
+    uniform = Placement.uniform(gcfg.library.num_files, gcfg.cache_size).q[0]
+    columns = _threshold_columns(np.array([res.q_star.q for res in results]),
+                                 q_ref, uniform)
+    r_total = [res.rates.r_total for res in results]
+    rows = [[_fmt(v) for v in row]
+            for row in zip(alphas, *(c.tolist() for c in columns), r_total)]
     header = ["alpha", "q_min", "q_max", "q_mu",
               "dist_noadv", "dist_uniform", "R_total"]
     for name, thr, event in (("alpha_thr_1", detection.alpha_thr_1, "branching"),
@@ -204,7 +218,7 @@ def cmd_simulate(cfg: dict, args):
         rows.append([
             _fmt(alpha), str(report.requests),
             _fmt(report.backhaul_fraction_mean), _fmt(stderr),
-            *[str(c) for c in report.per_coverage_counts],
+            *[str(c) for c in report.per_coverage_counts.tolist()],
             _fmt(res.rates.r_total), _fmt(analytic_mn), _fmt(z),
         ])
     header = (["alpha", "requests", "mean", "stderr"]

@@ -42,14 +42,17 @@ Allocation Problems, 1988):
   popularity, the segment order per (popularity, coverage) pair, each in
   one slot that a call with equal input bytes reuses.  The floor loop runs
   on Python numbers and bisects a level's column only on the levels it
-  visits: S bisections of about log2 N steps per level.  So a solve makes a
-  fixed few numpy calls, plus one dot per level visited, whatever N is.
+  visits: S bisections of about log2 N steps per level.  The length the
+  heavy segments fill is summed exactly, in integers over one power-of-two
+  denominator, and rounded once, so q* has the same bits on every CPU and
+  BLAS build.  So a solve makes a fixed few numpy calls, whatever N is.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +160,9 @@ def _library(probs_bytes: bytes) -> _Library:
 class _Segments:
     """The sorted segment order of one (popularity, coverage) pair.
 
-    Every field is read-only.  Level k spans [lo[k], hi[k]], of width
-    width[k], and weighs c[k] per unit of popularity.  Sorted segment i
+    Every field is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
+    per unit of popularity; hi[k] and its width hi[k] - lo[k] are exactly
+    hi_exact[k] / scale and width_exact[k] / scale.  Sorted segment i
     belongs to file owner[i] and level segment[i + 1]; segment[0] is S, a
     level of length 0 that starts the running sums.  columns views the
     negated weights -p_j c_l level by level, each level's N in popularity
@@ -168,7 +172,9 @@ class _Segments:
     c: tuple[float, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    width: np.ndarray
+    hi_exact: tuple[int, ...]
+    width_exact: tuple[int, ...]
+    scale: int
     owner: np.ndarray
     segment: np.ndarray
     columns: memoryview
@@ -197,12 +203,18 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
         tie = np.concatenate(([0], np.cumsum(~tied)))
         regroup = np.argsort((tie * n + position) * s + level, kind="stable")
         level, position = level[regroup], position[regroup]
-    width, owner = hi - lo, library.by_popularity[position]
+    owner = library.by_popularity[position]
     segment = np.concatenate(([s], level))
-    for array in (columns, width, owner, segment):
+    for array in (columns, owner, segment):
         array.setflags(write=False)
+    # every float is an integer over a power of two, so the largest
+    # denominator is a multiple of all the others
+    ratios = [v.as_integer_ratio() for v in [*hi.tolist(), *(hi - lo).tolist()]]
+    scale = max(den for _, den in ratios)
+    exact = tuple(num * (scale // den) for num, den in ratios)
     return _Segments(c=tuple(c.tolist()), lo=tuple(lo.tolist()),
-                     hi=tuple(hi.tolist()), width=width, owner=owner,
+                     hi=tuple(hi.tolist()), hi_exact=exact[:s],
+                     width_exact=exact[s:], scale=scale, owner=owner,
                      segment=segment, columns=memoryview(columns),
                      library=library)
 
@@ -223,9 +235,10 @@ def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
         bound = -(c[k] * x_a) if c[k] > 0 else -0.0
         count = [bisect.bisect_right(columns, bound, l * n, (l + 1) * n) - l * n
                  for l in range(s)]
-        # numpy's dot, not a Python sum: the BLAS kernel may fuse the
-        # multiply-adds, and the floor must keep those bits
-        used = count[k] * hi[k] + float(np.dot(count[k + 1:], t.width[k + 1:]))
+        # the exact sum, rounded once by the int / int division
+        used = (count[k] * t.hi_exact[k]
+                + sum(map(operator.mul, count[k + 1:], t.width_exact[k + 1:]))
+                ) / t.scale
         mu = (max(lo[k], (cache - used) / (n - count[k])) if count[k] < n
               else lo[k] if used >= cache else math.inf)
         if mu <= hi[k]:
@@ -279,6 +292,17 @@ def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
     return [equilibrium_placement(cfg.with_alpha(float(a))) for a in alphas]
 
 
+def _distances(qs: np.ndarray, q_ref: np.ndarray,
+               uniform: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's infinity-norm distance from q_ref and from the constant
+    placement `uniform`; qs, one placement per row, is overwritten."""
+    # rounding is monotone and symmetric, so this is max |q - uniform| bit
+    # for bit
+    dist_uniform = np.maximum(qs.max(axis=1) - uniform, uniform - qs.min(axis=1))
+    np.subtract(qs, q_ref, out=qs)
+    return np.abs(qs, out=qs).max(axis=1), dist_uniform
+
+
 def detect_thresholds(cfg: GameConfig, alpha_grid,
                       results: list[EquilibriumResult]) -> ThresholdResult:
     """Locate the branching and gathering points of the placement trajectory.
@@ -298,11 +322,11 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
         raise ValueError("alpha grid must lie in [0, 1]")
     if len(results) != alphas.size:
         raise ValueError("results do not match the alpha grid")
-    q_ref = no_adversary_placement(cfg).q
-    q_uni = Placement.uniform(cfg.library.num_files, cfg.cache_size).q
-    qs = np.array([res.q_star.q for res in results])
-    branched = np.flatnonzero(np.abs(qs - q_ref).max(axis=1) > DISTANCE_TOL)
-    gathered = np.flatnonzero(np.abs(qs - q_uni).max(axis=1) <= DISTANCE_TOL)
+    dist_noadv, dist_uniform = _distances(
+        np.array([res.q_star.q for res in results]), no_adversary_placement(cfg).q,
+        Placement.uniform(cfg.library.num_files, cfg.cache_size).q[0])
+    branched = np.flatnonzero(dist_noadv > DISTANCE_TOL)
+    gathered = np.flatnonzero(dist_uniform <= DISTANCE_TOL)
     return ThresholdResult(
         alpha_thr_1=float(alphas[branched[0]]) if branched.size else None,
         alpha_thr_2=float(alphas[gathered[0]]) if gathered.size else None)

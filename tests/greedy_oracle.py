@@ -3,10 +3,13 @@
 It is the module docstring's algorithm written with one numpy call per step:
 the segment order is sorted per call, the water level x_a is the minimum over
 all N prefix sums, the heavy segments are counted by one `searchsorted` per
-level column, and the floor loop reads numpy scalars.  `game._greedy_placement`
-must return the same bits on every input; the tests compare the two with
-`np.array_equal`.
+level column, the floor loop reads numpy scalars, and the length the heavy
+segments fill is summed as an exact `Fraction`, rounded once to a float.
+`game._greedy_placement` must return the same bits on every input; the tests
+compare the two with `np.array_equal`.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +34,9 @@ def greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
     count = np.array([column.searchsorted(bound, side="right")
                       for column in columns]).T
     for k in range(s):                            # levels, increasing q
-        used = count[k, k] * hi[k] + count[k, k + 1:] @ (hi - lo)[k + 1:]
+        used = float(Fraction(int(count[k, k])) * Fraction(hi[k])
+                     + sum(Fraction(int(m)) * Fraction(w)
+                           for m, w in zip(count[k, k + 1:], (hi - lo)[k + 1:])))
         mu = (max(lo[k], (cache - used) / (n - count[k, k])) if count[k, k] < n
               else lo[k] if used >= cache else np.inf)
         if mu <= hi[k]:

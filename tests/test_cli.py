@@ -2,6 +2,7 @@ import csv
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cachegame import cli, game, geometry, model, simulator
@@ -30,8 +31,10 @@ def read_csv(path):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of equilibrium_placement, evaluate and quantize_placement."""
-    counts = {"equilibrium_placement": 0, "evaluate": 0, "quantize_placement": 0}
+    """Call counts of equilibrium_placement, evaluate, quantize_placement and
+    zipf_popularity."""
+    counts = {"equilibrium_placement": 0, "evaluate": 0, "quantize_placement": 0,
+              "zipf_popularity": 0}
 
     def count(name, *modules):
         # patch every namespace that may hold the function, so a call
@@ -48,6 +51,7 @@ def calls(monkeypatch):
     count("equilibrium_placement", game)
     count("evaluate", game)
     count("quantize_placement", model, simulator, cli)
+    count("zipf_popularity", model, cli)
     return counts
 
 
@@ -179,6 +183,18 @@ class TestSweepR:
         assert capsys.readouterr().err.startswith("error: sbs_radius")
         assert calls["equilibrium_placement"] == 0
 
+    def test_one_popularity_per_sweep(self, capsys, calls):
+        assert main(["sweep-r", "--r-grid", "43:60:0.5"]) == 0
+        assert calls["zipf_popularity"] == 1
+        assert calls["equilibrium_placement"] == 35
+
+    def test_config_radius_is_never_read(self, capsys):
+        # the grid sets every radius, so an invalid config radius is unused
+        assert main(["sweep-r", "--r-grid", "45,50"]) == 0
+        expected = capsys.readouterr()
+        assert main(["sweep-r", "--sbs_radius_m", "-5", "--r-grid", "45,50"]) == 0
+        assert capsys.readouterr() == expected
+
 
 class TestSweepCache:
     def test_rate_decreases_with_cache(self, config_path, tmp_path):
@@ -220,6 +236,59 @@ class TestThresholds:
             "alpha_thr_1: no branching on the grid",
             "alpha_thr_2: no gathering on the grid",
         ]
+
+
+def threshold_rows_oracle(qs, q_ref, q_uni):
+    """The q_min, q_max, q_mu, dist_noadv and dist_uniform of each placement,
+    one row at a time, as cmd_thresholds computed them before it stacked the
+    placements."""
+    rows = []
+    for q in qs:
+        nonzero = np.nonzero(q > 1e-9)[0]
+        q_mu = q[nonzero[-1]] if nonzero.size else 0.0
+        rows.append([q.min(), q.max(), q_mu, np.max(np.abs(q - q_ref)),
+                     np.max(np.abs(q - q_uni))])
+    return rows
+
+
+class TestThresholdColumns:
+    @staticmethod
+    def random_stacks():
+        rng = np.random.default_rng(1414)
+        for _ in range(200):
+            a, n = int(rng.integers(1, 12)), int(rng.integers(1, 60))
+            qs = rng.random((a, n)) * rng.choice([1.0, 1e-8, 1e-3])
+            # exact zeros, entries at the 1e-9 cut-off and a row with nothing
+            # above it
+            qs[rng.random((a, n)) < 0.3] = 0.0
+            qs[rng.random((a, n)) < 0.1] = 1e-9
+            qs[int(rng.integers(a))] *= 1e-10
+            uniform = float(rng.choice([qs.mean(), rng.random(), 1e-9, 0.0]))
+            yield qs, rng.random(n), uniform
+
+    def test_match_the_row_loop(self):
+        for qs, q_ref, uniform in self.random_stacks():
+            expected = threshold_rows_oracle(qs, q_ref, np.full(qs.shape[1], uniform))
+            columns = cli._threshold_columns(qs.copy(), q_ref, uniform)
+            rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+            assert rows == [[float(v) for v in row] for row in expected]
+            assert [[cli._fmt(v) for v in row] for row in rows] == \
+                [[cli._fmt(v) for v in row] for row in expected]
+
+    def test_a_row_with_nothing_above_the_cut_off_has_q_mu_0(self):
+        qs = np.array([[1e-9, 0.0, 5e-10], [0.3, 1e-9, 0.2]])
+        q_mu = cli._threshold_columns(qs, np.zeros(3), 0.1)[2]
+        assert q_mu.tolist() == [0.0, 0.2]
+
+    def test_q_mu_0_branch_keeps_its_bytes(self, capsys):
+        # the cache is so small that no file holds more than 1e-9
+        assert main(["thresholds", "--cache_size", "1e-8", "--alpha-grid", "0,1"]) == 0
+        assert capsys.readouterr().out == (
+            "alpha_thr_1: no branching on the grid\n"
+            "alpha_thr_2 = 0.000000\n"
+            "alpha,q_min,q_max,q_mu,dist_noadv,dist_uniform,R_total\n"
+            "0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,1.000000\n"
+            "1.000000,0.000000,0.000000,0.000000,0.000000,0.000000,1.000000\n")
 
 
 class TestSimulate:

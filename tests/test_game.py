@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,16 @@ class TestSegmentTable:
                 value[0] = 0
         assert table.columns.readonly
 
+    def test_exact_ends_and_widths(self):
+        for s in range(1, 9):
+            gamma = np.full(s, 1.0 / s)
+            t = game._segments(zipf_popularity(5, 0.7).probs.tobytes(), gamma.tobytes())
+            widths = np.subtract(t.hi, t.lo).tolist()
+            # each integer over scale is exactly its float, so the floor's
+            # sum has no rounding before its one division
+            assert [Fraction(v, t.scale) for v in t.hi_exact] == list(map(Fraction, t.hi))
+            assert [Fraction(v, t.scale) for v in t.width_exact] == list(map(Fraction, widths))
+
     def test_a_hit_needs_equal_bytes(self):
         cfg = reference_config()
         game._segments.clear()
@@ -361,8 +372,9 @@ class TestGreedyOracle:
 
     @staticmethod
     def fused_sum_configs():
-        # the floor adds three products here; numpy's dot fused them (an FMA
-        # in the BLAS kernel), and a plain sum moved q by an ulp
+        # the floor adds three products here, and a BLAS dot that fuses the
+        # multiply-adds (an FMA) and a plain float sum round them differently;
+        # the exact sum, rounded once, depends on neither
         return [make_config(alpha, zipf_popularity(n, z).probs, gamma, cache)
                 for n, z, gamma, alpha, cache in [
                     (46, 1.177451094397185,
@@ -479,6 +491,45 @@ class TestSweepAndThresholds:
         assert detection.alpha_thr_1 is not None
         assert detection.alpha_thr_2 is not None
         assert 0.0 < detection.alpha_thr_1 < detection.alpha_thr_2 <= 1.0
+
+    def test_uniform_distance_is_bit_identical(self):
+        rng = np.random.default_rng(1515)
+        for _ in range(500):
+            a, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+            uniform = float(rng.random() * rng.choice([1.0, 1e-6, 1e3]))
+            qs = uniform + rng.normal(size=(a, n)) * rng.choice([1.0, 1e-9, 1e-17])
+            qs[0] = uniform                         # a row equal to uniform
+            qs[-1, :n // 2] = uniform
+            q_ref = rng.random(n)
+            expected = (np.abs(qs - q_ref).max(axis=1), np.abs(qs - uniform).max(axis=1))
+            # bytes, so that -0.0 and 0.0 differ
+            assert [d.tobytes() for d in game._distances(qs, q_ref, uniform)] == \
+                [d.tobytes() for d in expected]
+
+    def test_each_placement_is_classified_by_its_distances(self):
+        cfg = reference_config()
+        n, cache = cfg.library.num_files, cfg.cache_size
+        q_ref = no_adversary_placement(cfg).q
+        uniform = cache / n
+        base = equilibrium_placement(cfg)
+        rng = np.random.default_rng(1616)
+        rows = [q_ref, np.full(n, uniform)]
+        for _ in range(300):
+            # within a few DISTANCE_TOL of either reference, each side at a
+            # depth either within DISTANCE_TOL or past it; few enough entries
+            # go up that the capacity holds
+            centre = q_ref if rng.random() < 0.5 else uniform
+            down, up = rng.choice([0.5, 3.0], 2) * DISTANCE_TOL
+            offset = np.where(rng.random(n) < 0.8 * down / (down + up), up, -down)
+            q = np.clip(centre + offset * rng.random(n), 0.0, 1.0)
+            rows.append(q * min(1.0, cache / q.sum()))
+        for q in rows:
+            result = dataclasses.replace(base, q_star=Placement(q=q, cache_size=cache))
+            detection = detect_thresholds(cfg, [0.0], [result])
+            branched = np.abs(q - q_ref).max() > DISTANCE_TOL
+            gathered = np.abs(q - uniform).max() <= DISTANCE_TOL
+            assert (detection.alpha_thr_1 == 0.0) == branched
+            assert (detection.alpha_thr_2 == 0.0) == gathered
 
     @pytest.mark.parametrize("grid, match", [
         ([], "non-empty"), ([0.5, 0.0], "sorted"), ([-0.1, 0.5], r"\[0, 1\]"),
