@@ -3,8 +3,7 @@
 from .model import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                     PopularityDist, RateBreakdown, load_config,
                     quantize_placement, zipf_popularity)
-from .geometry import (CoverageAreas, NetworkGeometry, coverage_areas,
-                       coverage_areas_unit_cell, coverage_profile,
+from .geometry import (NetworkGeometry, coverage_areas, coverage_profile,
                        deployment_counts)
 from .rate import adversary_rate, legit_rate, total_rate
 from .game import (EquilibriumResult, ThresholdResult, best_response,
@@ -13,13 +12,12 @@ from .game import (EquilibriumResult, ThresholdResult, best_response,
 from .simulator import SimReport, simulate
 
 __all__ = [
-    "CoverageAreas", "CoverageProfile", "EquilibriumResult", "GameConfig",
-    "LibraryConfig", "NetworkGeometry", "Placement", "PopularityDist",
-    "RateBreakdown", "SimReport", "ThresholdResult", "adversary_rate",
-    "best_response", "coverage_areas", "coverage_areas_unit_cell",
-    "coverage_profile", "deployment_counts", "detect_thresholds",
-    "equilibrium_placement", "evaluate", "legit_rate", "load_config",
-    "no_adversary_placement", "quantize_placement", "simulate",
+    "CoverageProfile", "EquilibriumResult", "GameConfig", "LibraryConfig",
+    "NetworkGeometry", "Placement", "PopularityDist", "RateBreakdown",
+    "SimReport", "ThresholdResult", "adversary_rate", "best_response",
+    "coverage_areas", "coverage_profile", "deployment_counts",
+    "detect_thresholds", "equilibrium_placement", "evaluate", "legit_rate",
+    "load_config", "no_adversary_placement", "quantize_placement", "simulate",
     "sweep_equilibria", "total_rate", "worst_case_rate", "zipf_popularity",
 ]
 

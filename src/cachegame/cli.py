@@ -75,7 +75,7 @@ def _rate_cells(res: game.EquilibriumResult) -> list[str]:
             _fmt(res.rates.r_adv), str(res.j_star + 1)]
 
 
-def _coverage_areas(cfg: dict) -> geometry.CoverageAreas:
+def _coverage_areas(cfg: dict) -> np.ndarray:
     return geometry.coverage_areas(geometry.NetworkGeometry(
         mbs_radius=cfg["mbs_radius_m"], sbs_spacing=cfg["sbs_spacing_m"],
         sbs_radius=cfg["sbs_radius_m"], user_density=cfg["user_density_per_m2"]))
@@ -98,7 +98,7 @@ def cmd_gamma(cfg: dict, args) -> tuple[list[list[str]], list[str]]:
     areas = _coverage_areas(cfg)
     gamma = geometry.coverage_profile(areas).gamma
     rows = [[str(d), _fmt(area), _fmt(g)] for d, (area, g)
-            in enumerate(zip(areas.areas.tolist(), gamma.tolist()), start=1)]
+            in enumerate(zip(areas.tolist(), gamma.tolist()), start=1)]
     return rows, ["d", "area_m2", "gamma"]
 
 
@@ -148,9 +148,11 @@ def cmd_sweep_r(cfg: dict, args):
 
 
 def cmd_sweep_cache(cfg: dict, args):
-    gcfg = build_game_config(cfg)
+    # built at the first grid point, not the config's unused cache size;
     # every cache size is checked before the first solve
-    configs = [dataclasses.replace(gcfg, cache_size=c) for c in args.cache_grid]
+    first, *rest = args.cache_grid
+    base = build_game_config(dict(cfg, cache_size=first))
+    configs = [base, *(dataclasses.replace(base, cache_size=c) for c in rest)]
     rows = [[_fmt(sub.cache_size), *_rate_cells(game.equilibrium_placement(sub))]
             for sub in configs]
     header = ["cache_size", *RATE_HEADER]
@@ -238,6 +240,16 @@ COMMANDS = {
 }
 
 
+# (flag, default, parsed default, help) of each grid option: the default is
+# parsed once, here, since argparse runs `type` on a string default in every
+# parse, also for the commands that never read that grid
+_GRID_OPTIONS = [(flag, text, parse_grid(text), what) for flag, text, what in (
+    ("--alpha-grid", "0:1:0.01", "alpha sweep grid, a:b:step or comma list"),
+    ("--r-grid", "45:60:5", "SBS radius grid in meters"),
+    ("--cache-grid", "10:40:10", "cache size grid in files"),
+)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachegame",
@@ -249,12 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=1_000_000,
                         help="ignored: the coverage profile is exact; accepted "
                              "so that older command lines still run")
-    parser.add_argument("--alpha-grid", type=parse_grid, default="0:1:0.01",
-                        help="alpha sweep grid, a:b:step or comma list")
-    parser.add_argument("--r-grid", type=parse_grid, default="45:60:5",
-                        help="SBS radius grid in meters")
-    parser.add_argument("--cache-grid", type=parse_grid, default="10:40:10",
-                        help="cache size grid in files")
+    for flag, text, grid, what in _GRID_OPTIONS:
+        parser.add_argument(flag, type=parse_grid, default=grid,
+                            help=f"{what} (default {text})")
     parser.add_argument("--requests", type=int, default=100_000,
                         help="requests per simulated row")
     for key, typ in CONFIG_KEYS.items():

@@ -4,8 +4,9 @@ The coverage profile is computed on one interior grid cell with its four
 corner SBS disks.  For sbs_spacing/sqrt(2) <= sbs_radius <= sbs_spacing every
 point of the cell is covered by one to four disks, so the per-count areas
 partition the cell exactly.  `coverage_areas` computes those areas in closed
-form; `coverage_areas_unit_cell` estimates them by Monte Carlo and serves as
-the tests' oracle for the closed form.
+form, and `coverage_profile` normalizes them into the distribution gamma.
+The geometry draws no random numbers; the tests check the closed form
+against Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .model import CoverageProfile
 
 MAX_COVERAGE = 4
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,34 +42,8 @@ class NetworkGeometry:
             )
 
 
-@dataclass(frozen=True)
-class CoverageAreas:
-    """Unit-cell areas covered by exactly 1..4 SBS disks.
-
-    `hits` and `samples` keep the raw Monte Carlo tallies (None for the
-    closed form); the hit counts partition the samples exactly, which the
-    float areas only do up to rounding.
-    """
-
-    areas: np.ndarray
-    cell_area: float
-    hits: np.ndarray | None = None
-    samples: int | None = None
-
-    def __post_init__(self):
-        areas = np.array(self.areas, dtype=float)
-        areas.setflags(write=False)
-        object.__setattr__(self, "areas", areas)
-        if np.any(areas < 0):
-            raise ValueError("areas must be non-negative")
-        if self.hits is not None:
-            hits = np.array(self.hits, dtype=np.int64)
-            hits.setflags(write=False)
-            object.__setattr__(self, "hits", hits)
-
-
-def coverage_areas(geom: NetworkGeometry) -> CoverageAreas:
-    """Exact area of the exactly-d coverage regions of the unit cell.
+def coverage_areas(geom: NetworkGeometry) -> np.ndarray:
+    """Exact area of the exactly-d coverage regions of the unit cell, d = 1..4.
 
     With d = sbs_spacing and r = sbs_radius, the four-fold area A4 is four
     times the part of a quarter cell within r of the opposite corner, and
@@ -101,50 +75,20 @@ def coverage_areas(geom: NetworkGeometry) -> CoverageAreas:
     a3 = t2 - (t1 - t0)
     a2 = t1 - t0 - 2.0 * a3
     a1 = t0 - a2 - a3
-    return CoverageAreas(areas=np.maximum([a1, a2, a3, a4], 0.0), cell_area=d * d)
+    areas = np.maximum([a1, a2, a3, a4], 0.0)
+    areas.setflags(write=False)
+    return areas
 
 
-def coverage_areas_unit_cell(geom: NetworkGeometry, samples: int,
-                             seed: int) -> CoverageAreas:
-    """Monte Carlo area of the exactly-d coverage regions of the unit cell.
+def coverage_profile(areas: np.ndarray) -> CoverageProfile:
+    """Normalize the exactly-1..4 areas into the coverage distribution gamma.
 
-    Uniform points in [0, d_s]^2 are classified by how many of the four
-    corner disks of radius r contain them.  The RNG is numpy's default
-    PCG64 stream; results are bit-identical for a fixed (seed, samples).
+    A negative area fails the check of CoverageProfile.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
-    ds = geom.sbs_spacing
-    r2 = geom.sbs_radius**2
-    rng = np.random.default_rng(seed)
-    hits = np.zeros(MAX_COVERAGE + 1, dtype=np.int64)
-    remaining = samples
-    while remaining > 0:
-        batch = min(_CHUNK, remaining)
-        x = rng.random(batch) * ds
-        y = rng.random(batch) * ds
-        count = (
-            (x * x + y * y <= r2).astype(np.int8)
-            + (x * x + (y - ds) ** 2 <= r2)
-            + ((x - ds) ** 2 + y * y <= r2)
-            + ((x - ds) ** 2 + (y - ds) ** 2 <= r2)
-        )
-        hits += np.bincount(count, minlength=MAX_COVERAGE + 1)
-        remaining -= batch
-    # r >= d_s/sqrt(2) puts every sample within reach of some corner
-    assert hits[0] == 0, "uncovered sample in the valid radius range"
-    cell_area = ds * ds
-    areas = cell_area * hits[1:] / samples
-    return CoverageAreas(areas=areas, cell_area=cell_area, hits=hits[1:],
-                         samples=samples)
-
-
-def coverage_profile(areas: CoverageAreas) -> CoverageProfile:
-    """Normalize the per-count areas into the coverage distribution gamma."""
-    total = areas.areas.sum()
+    total = areas.sum()
     if total <= 0:
         raise ValueError("all coverage areas are zero")
-    return CoverageProfile(gamma=areas.areas / total)
+    return CoverageProfile(gamma=areas / total)
 
 
 def deployment_counts(geom: NetworkGeometry) -> tuple[int, int]:

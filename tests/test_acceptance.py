@@ -15,12 +15,12 @@ import pytest
 from cachegame import (CoverageProfile, GameConfig,
                        LibraryConfig, NetworkGeometry, Placement,
                        PopularityDist, adversary_rate, best_response,
-                       coverage_areas_unit_cell, coverage_profile,
-                       deployment_counts, detect_thresholds,
+                       coverage_profile, deployment_counts, detect_thresholds,
                        equilibrium_placement, evaluate, legit_rate,
                        no_adversary_placement, quantize_placement, simulate,
                        sweep_equilibria, worst_case_rate, zipf_popularity)
 
+from coverage_oracle import coverage_areas_unit_cell
 from test_game import brute_force_value, make_config
 from test_geometry import independent_coverage_mc
 
@@ -43,7 +43,7 @@ def geometry_at(radius):
 
 @pytest.fixture(scope="session")
 def gamma_r45():
-    areas = coverage_areas_unit_cell(geometry_at(45.0), 1_000_000, seed=1)
+    areas, _ = coverage_areas_unit_cell(geometry_at(45.0), 1_000_000, seed=1)
     return coverage_profile(areas)
 
 
@@ -179,7 +179,7 @@ def test_criterion_5_rate_vs_radius_slope():
         radii = [45.0, 50.0, 55.0, 60.0]
         rates = []
         for radius in radii:
-            areas = coverage_areas_unit_cell(geometry_at(radius), 1_000_000, seed=5)
+            areas, _ = coverage_areas_unit_cell(geometry_at(radius), 1_000_000, seed=5)
             cfg = GameConfig(alpha=0.0, library=LibraryConfig(num_files=200),
                              popularity=zipf_popularity(200, 0.7),
                              coverage=coverage_profile(areas), cache_size=20.0)
@@ -253,10 +253,11 @@ def test_criterion_9_geometry_sanity():
         radii = [45.0, 52.5, 60.0]
         profiles = []
         for radius in radii:
-            areas = coverage_areas_unit_cell(geometry_at(radius), 10_000_000, seed=9)
+            samples = 10_000_000
+            areas, hits = coverage_areas_unit_cell(geometry_at(radius), samples, seed=9)
             # exact bucket partition: every sample lands in one count bucket
-            assert areas.hits.sum() == areas.samples
-            assert areas.areas.sum() == pytest.approx(areas.cell_area, rel=1e-12)
+            assert hits.sum() == samples
+            assert areas.sum() == pytest.approx(60.0**2, rel=1e-12)
             gamma = coverage_profile(areas).gamma
             oracle = independent_coverage_mc(60.0, radius, 10_000_000, seed=909)
             assert np.max(np.abs(gamma - oracle)) <= 1e-3

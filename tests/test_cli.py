@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cachegame import cli, game, geometry, model, simulator
+from cachegame import cli, game, model, simulator
 from cachegame.cli import build_parser, main, parse_grid
 
 
@@ -100,6 +100,16 @@ class TestParseGrid:
 
     def test_largest_grid(self):
         assert len(parse_grid("0:999999:1")) == cli.MAX_GRID_POINTS
+
+    def test_defaults_are_parsed_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_grid(text)
+        monkeypatch.setattr(cli, "parse_grid", counting)
+        assert main(["gamma"]) == 0
+        assert calls == []
 
     def test_string_defaults_are_parsed(self):
         # argparse applies `type` to a string default
@@ -210,6 +220,19 @@ class TestSweepCache:
         assert main(["sweep-cache", "--cache-grid", "10:300:10"]) == 2
         assert capsys.readouterr().err.startswith("error: cache size")
         assert calls["equilibrium_placement"] == 0
+        # the first grid point too
+        assert main(["sweep-cache", "--cache-grid", "0,10"]) == 2
+        assert capsys.readouterr().err.startswith("error: cache size")
+        assert calls["equilibrium_placement"] == 0
+
+    def test_config_cache_size_is_never_read(self, capsys):
+        # the grid sets every cache size, so the default M = 20, too large
+        # for a 3-file library, is unused
+        assert main(["sweep-cache", "--num_files", "3", "--cache-grid", "1,2"]) == 0
+        expected = capsys.readouterr()
+        assert main(["sweep-cache", "--num_files", "3", "--cache_size", "1",
+                     "--cache-grid", "1,2"]) == 0
+        assert capsys.readouterr() == expected
 
 
 class TestThresholds:
@@ -410,11 +433,10 @@ class TestExactCoverage:
         ["simulate", "--alpha-grid", "0.5", "--requests", "100"],
     ]
 
+    # the library has no coverage Monte Carlo (the layering test pins that);
+    # every subcommand runs cleanly on the closed form
     @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
-    def test_no_monte_carlo(self, config_path, monkeypatch, capsys, argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the CLI ran the coverage Monte Carlo")
-        monkeypatch.setattr(geometry, "coverage_areas_unit_cell", refuse)
+    def test_no_monte_carlo(self, config_path, capsys, argv):
         assert main([*argv, "--config", str(config_path)]) == 0
         assert capsys.readouterr().err == ""
 

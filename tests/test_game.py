@@ -13,7 +13,8 @@ import pytest
 
 from greedy_oracle import greedy_placement
 from lp_oracle import lp_equilibrium
-from cachegame import game
+import cachegame
+from cachegame import game, geometry
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        PopularityDist, adversary_rate, best_response,
                        detect_thresholds, equilibrium_placement, evaluate,
@@ -249,9 +250,10 @@ class TestEquilibriumPlacement:
             check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
     def test_layering(self):
+        path = Path(__file__).resolve().parent.parent / "src" / "cachegame"
+
         def imports(module):
             """(module, name) pairs a cachegame module imports, read with ast."""
-            path = Path(__file__).resolve().parent.parent / "src" / "cachegame"
             pairs = set()
             for node in ast.walk(ast.parse((path / f"{module}.py").read_text())):
                 if isinstance(node, ast.ImportFrom) and node.module:
@@ -266,6 +268,22 @@ class TestEquilibriumPlacement:
         # rate uses only model's public names
         assert not [name for source, name in imports("rate")
                     if source == "model" and name.startswith("_")]
+        # only the simulator draws random numbers: the coverage profile is
+        # exact, and its Monte Carlo estimate is a test oracle
+        for module in sorted(path.glob("*.py")):
+            if module.stem == "simulator":
+                continue
+            names = set()
+            for node in ast.walk(ast.parse(module.read_text())):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names |= {a.name for a in node.names} | {getattr(node, "module", None)}
+            assert not names & {"random", "default_rng", "numpy.random"}, module.stem
+        assert not {"coverage_areas_unit_cell", "CoverageAreas"} & (
+            set(vars(cachegame)) | set(cachegame.__all__) | set(vars(geometry)))
 
 
 class TestSegmentTable:

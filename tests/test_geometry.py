@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cachegame import (NetworkGeometry, coverage_areas, coverage_areas_unit_cell,
-                       coverage_profile, deployment_counts)
-from cachegame.geometry import CoverageAreas
+from cachegame import (NetworkGeometry, coverage_areas, coverage_profile,
+                       deployment_counts)
+from coverage_oracle import coverage_areas_unit_cell
 
 
 def independent_coverage_mc(spacing, radius, samples, seed):
@@ -62,18 +62,19 @@ class TestNetworkGeometry:
 
 class TestCoverageAreas:
     def test_buckets_partition_the_cell(self):
-        areas = coverage_areas_unit_cell(geom(45.0), 100_000, seed=3)
-        assert areas.hits.sum() == areas.samples
-        assert areas.areas.sum() == pytest.approx(areas.cell_area, rel=1e-12)
+        areas, hits = coverage_areas_unit_cell(geom(45.0), 100_000, seed=3)
+        assert hits.sum() == 100_000
+        assert areas.sum() == pytest.approx(60.0**2, rel=1e-12)
 
     def test_rejects_negative_area(self):
+        # the one consumer of the areas checks them
         with pytest.raises(ValueError, match="non-negative"):
-            CoverageAreas(areas=[1.0, -0.5], cell_area=0.5)
+            coverage_profile(np.array([1.0, -0.5]))
 
     def test_seed_determinism(self):
-        a = coverage_areas_unit_cell(geom(50.0), 200_000, seed=9)
-        b = coverage_areas_unit_cell(geom(50.0), 200_000, seed=9)
-        assert np.array_equal(a.areas, b.areas)
+        a, _ = coverage_areas_unit_cell(geom(50.0), 200_000, seed=9)
+        b, _ = coverage_areas_unit_cell(geom(50.0), 200_000, seed=9)
+        assert np.array_equal(a, b)
 
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
@@ -83,35 +84,35 @@ class TestCoverageAreas:
         # just above spacing/sqrt(2) almost all mass sits on single and
         # double coverage; the four-fold region around the cell center is
         # ~3e-8 of the cell and needs a larger radius to be observable
-        areas = coverage_areas_unit_cell(geom(60 * 0.7072), 1_000_000, seed=12)
+        areas, _ = coverage_areas_unit_cell(geom(60 * 0.7072), 1_000_000, seed=12)
         gamma = coverage_profile(areas).gamma
         assert gamma.sum() == pytest.approx(1.0, abs=3e-3)
         assert gamma[0] + gamma[1] > 0.99
         wider = coverage_profile(
-            coverage_areas_unit_cell(geom(45.0), 1_000_000, seed=12)).gamma
+            coverage_areas_unit_cell(geom(45.0), 1_000_000, seed=12)[0]).gamma
         assert wider[3] > 0
 
     @pytest.mark.parametrize("radius", [45.0, 60.0])
     def test_matches_independent_oracle(self, radius):
         gamma = coverage_profile(
-            coverage_areas_unit_cell(geom(radius), 1_000_000, seed=21)).gamma
+            coverage_areas_unit_cell(geom(radius), 1_000_000, seed=21)[0]).gamma
         oracle = independent_coverage_mc(60.0, radius, 1_000_000, seed=99)
         np.testing.assert_allclose(gamma, oracle, atol=3e-3)
 
     def test_overlap_grows_with_radius(self):
         stderr = 0.5 / math.sqrt(500_000)
         g_small = coverage_profile(
-            coverage_areas_unit_cell(geom(45.0), 500_000, seed=4)).gamma
+            coverage_areas_unit_cell(geom(45.0), 500_000, seed=4)[0]).gamma
         g_large = coverage_profile(
-            coverage_areas_unit_cell(geom(55.0), 500_000, seed=4)).gamma
+            coverage_areas_unit_cell(geom(55.0), 500_000, seed=4)[0]).gamma
         assert g_large[3] >= g_small[3] - 3 * stderr
         assert g_large[0] <= g_small[0] + 3 * stderr
 
     def test_convergence_when_doubling_samples(self):
         g1 = coverage_profile(
-            coverage_areas_unit_cell(geom(50.0), 1_000_000, seed=6)).gamma
+            coverage_areas_unit_cell(geom(50.0), 1_000_000, seed=6)[0]).gamma
         g2 = coverage_profile(
-            coverage_areas_unit_cell(geom(50.0), 2_000_000, seed=7)).gamma
+            coverage_areas_unit_cell(geom(50.0), 2_000_000, seed=7)[0]).gamma
         assert np.max(np.abs(g1 - g2)) < 3 * 0.5 / math.sqrt(1_000_000)
 
 
@@ -128,7 +129,7 @@ class TestExactCoverageAreas:
 
     @pytest.mark.parametrize("radius", RADII)
     def test_moment_sums(self, radius):
-        a = coverage_areas(geom(radius)).areas
+        a = coverage_areas(geom(radius))
         k = np.arange(1, 5)
         # a disk pair overlaps inside the cell in half a lens along an edge
         # and in a whole lens along a diagonal
@@ -140,7 +141,7 @@ class TestExactCoverageAreas:
     @pytest.mark.parametrize("radius", RADII)
     def test_matches_independent_oracle(self, radius):
         samples = 1_000_000
-        exact = coverage_areas(geom(radius)).areas / 60.0**2
+        exact = coverage_areas(geom(radius)) / 60.0**2
         oracle = independent_coverage_mc(60.0, radius, samples, seed=77)
         sigma = np.sqrt(exact * (1 - exact) / samples)
         assert np.all(np.abs(oracle - exact) <= 4 * sigma + 1e-12)
@@ -148,14 +149,14 @@ class TestExactCoverageAreas:
     @pytest.mark.parametrize("scale", [1e-3, 0.5, 7.0, 1e4])
     def test_scale_invariance(self, scale):
         for radius in (45.0, 52.5):
-            base = coverage_areas(geom(radius)).areas
-            scaled = coverage_areas(geom(scale * radius, spacing=scale * 60.0)).areas
+            base = coverage_areas(geom(radius))
+            scaled = coverage_areas(geom(scale * radius, spacing=scale * 60.0))
             np.testing.assert_allclose(scaled, scale**2 * base, rtol=1e-9,
                                        atol=1e-12 * scale**2 * 60.0**2)
 
     def test_overlap_grows_with_radius(self):
         radii = np.linspace(60.0 / math.sqrt(2), 60.0, 400)
-        a = np.array([coverage_areas(geom(r)).areas for r in radii])
+        a = np.array([coverage_areas(geom(r)) for r in radii])
         assert np.all(np.diff(a[:, 3]) >= 0)
         assert np.all(np.diff(a[:, 0]) <= 0)
 
@@ -165,7 +166,8 @@ class TestExactCoverageAreas:
         (60.0 - 1e-9, [0]), (60.0, [0]), (60.0 + 1e-9, [0]),
     ])
     def test_window_edges(self, radius, zero):
-        a = coverage_areas(geom(radius)).areas
+        a = coverage_areas(geom(radius))
+        assert not a.flags.writeable
         assert np.all(a >= 0)
         assert a.sum() == pytest.approx(60.0**2, rel=1e-9)
         np.testing.assert_allclose(a[zero], 0.0, atol=1e-9 * 60.0**2)
@@ -173,16 +175,16 @@ class TestExactCoverageAreas:
 
 class TestCoverageProfile:
     def test_equal_areas(self):
-        profile = coverage_profile(CoverageAreas(areas=[1, 1, 1, 1], cell_area=4))
+        profile = coverage_profile(np.array([1.0, 1.0, 1.0, 1.0]))
         np.testing.assert_allclose(profile.gamma, 0.25)
 
     def test_degenerate_single_coverage(self):
-        profile = coverage_profile(CoverageAreas(areas=[3600, 0, 0, 0], cell_area=3600))
+        profile = coverage_profile(np.array([3600.0, 0.0, 0.0, 0.0]))
         assert profile.gamma.tolist() == [1, 0, 0, 0]
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
-            coverage_profile(CoverageAreas(areas=[0, 0, 0, 0], cell_area=3600))
+            coverage_profile(np.zeros(4))
 
 
 class TestDeploymentCounts:

@@ -155,10 +155,15 @@ class TestTypes:
     ], ids=["alpha_below_zero", "alpha_above_one", "no_cache", "cache_holds_library",
             "popularity_size"])
     def test_game_config_validation(self, alpha, cache, num_probs, match):
+        fields = dict(library=LibraryConfig(num_files=4),
+                      popularity=zipf_popularity(num_probs, 0.7),
+                      coverage=CoverageProfile(gamma=[1.0]))
         with pytest.raises(ValueError, match=match):
-            GameConfig(alpha=alpha, library=LibraryConfig(num_files=4),
-                       popularity=zipf_popularity(num_probs, 0.7),
-                       coverage=CoverageProfile(gamma=[1.0]), cache_size=cache)
+            GameConfig(alpha=alpha, cache_size=cache, **fields)
+        if match == "alpha":
+            # with_alpha goes through the same checks
+            with pytest.raises(ValueError, match=match):
+                GameConfig(alpha=0.5, cache_size=cache, **fields).with_alpha(alpha)
 
     def test_types_are_immutable(self):
         p = zipf_popularity(5, 1.0)

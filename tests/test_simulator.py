@@ -6,12 +6,12 @@ from scipy.stats import chi2
 
 from cachegame import (CoverageProfile, GameConfig,
                        LibraryConfig, NetworkGeometry, Placement,
-                       PopularityDist,
-                       adversary_rate, best_response, coverage_areas_unit_cell,
+                       PopularityDist, adversary_rate, best_response,
                        coverage_profile, equilibrium_placement, evaluate,
                        legit_rate, quantize_placement, simulate, total_rate,
                        zipf_popularity)
 from cachegame import cli
+from coverage_oracle import coverage_areas_unit_cell
 from request_simulator import simulate_requests
 
 GAMMA_R45 = np.array([0.290706, 0.659095, 0.043004, 0.007196])
@@ -116,7 +116,8 @@ class TestSimulate:
         n = 100
         geom = NetworkGeometry(mbs_radius=500.0, sbs_spacing=60.0,
                                sbs_radius=45.0, user_density=0.05)
-        gamma = coverage_profile(coverage_areas_unit_cell(geom, 1_000_000, seed=1)).gamma
+        areas, _ = coverage_areas_unit_cell(geom, 1_000_000, seed=1)
+        gamma = coverage_profile(areas).gamma
         cfg = make_config(0.5, num_files=200, cache=20.0, gamma=gamma)
         res = equilibrium_placement(cfg)
         m = quantize_placement(res.q_star, n, cfg.popularity)
