@@ -3,9 +3,11 @@
 Commands: gamma, placement, sweep-alpha, sweep-r, sweep-cache, thresholds,
 simulate; the options may come before or after the command.  A grid is
 'a:b:step' (a, a + step, ... up to and never past b) or a comma list; it
-must be sorted and finite.  The coverage profile is exact, so `--samples`
-is accepted but ignored.  Exit codes: 0 success, 2 invalid configuration
-(a NaN or infinite value included).
+must be sorted and finite.  A command that sweeps a grid builds its game
+at the grid's first point, and never reads the config's value of that key.
+The coverage profile is exact, so `--samples` is accepted but ignored.
+Exit codes: 0 success, 2 invalid configuration (a NaN or infinite value
+included).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import game, geometry, simulator
-from .model import (CONFIG_KEYS, GameConfig, LibraryConfig, Placement,
-                    load_config, zipf_popularity)
+from .model import (CONFIG_KEYS, MAX_FRAGMENTS, GameConfig, LibraryConfig,
+                    Placement, load_config, quantize_placement, zipf_popularity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,15 +115,13 @@ def cmd_placement(cfg: dict, args):
 
 
 def cmd_sweep_alpha(cfg: dict, args):
-    gcfg = build_game_config(cfg)
+    gcfg = build_game_config(dict(cfg, alpha=args.alpha_grid[0]))
     alphas = args.alpha_grid
     results = game.sweep_equilibria(gcfg, alphas)
-    # R_ref_noadv rates the alpha = 0 equilibrium, a grid point when it starts at 0
-    base = (results[0] if alphas[0] == 0
-            else game.equilibrium_placement(gcfg.with_alpha(0.0))).q_star
-    # the adversaries' target on a fixed placement does not depend on alpha,
-    # so the base is rated once and mixed per grid point
-    ref = game.evaluate(base, gcfg)
+    # R_ref_noadv mixes the rates of the alpha = 0 solve, a grid point when
+    # the grid starts at 0: alpha enters neither rate of a fixed placement
+    ref = (results[0] if alphas[0] == 0
+           else game.equilibrium_placement(gcfg.with_alpha(0.0))).rates
     uniform = game.worst_case_rate(gcfg)
     rows = [[
         _fmt(alpha), *_rate_cells(res),
@@ -148,7 +148,6 @@ def cmd_sweep_r(cfg: dict, args):
 
 
 def cmd_sweep_cache(cfg: dict, args):
-    # built at the first grid point, not the config's unused cache size;
     # every cache size is checked before the first solve
     first, *rest = args.cache_grid
     base = build_game_config(dict(cfg, cache_size=first))
@@ -174,7 +173,7 @@ def _threshold_columns(qs: np.ndarray, q_ref: np.ndarray,
 
 
 def cmd_thresholds(cfg: dict, args):
-    gcfg = build_game_config(cfg)
+    gcfg = build_game_config(dict(cfg, alpha=args.alpha_grid[0]))
     alphas = args.alpha_grid
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
@@ -198,20 +197,22 @@ def cmd_simulate(cfg: dict, args):
         raise ValueError(f"--requests {args.requests}: need at least two requests "
                          f"and at most {MAX_REQUESTS}")
     n = cfg["fragments_per_file"]
-    if n < 1:
-        raise ValueError(f"fragments_per_file {n}: need at least one fragment per file")
+    if not 1 <= n <= MAX_FRAGMENTS:
+        raise ValueError(f"fragments_per_file {n}: need at least one fragment "
+                         f"per file and at most {MAX_FRAGMENTS}")
     if cfg["seed"] < 0:
         raise ValueError(f"seed {cfg['seed']}: must be non-negative")
-    gcfg = build_game_config(cfg)
+    gcfg = build_game_config(dict(cfg, alpha=args.alpha_grid[0]))
     rows = []
     for i, alpha in enumerate(args.alpha_grid):
         sub = gcfg.with_alpha(alpha)
         res = game.equilibrium_placement(sub)
-        report = simulator.simulate(res.q_star, sub, n, args.requests,
-                                    cfg["seed"] + i)
-        # the simulated adversaries target the least cached deployed file
+        # the row's one deployment, simulated and rated alike: the
+        # adversaries target its least cached file
+        m = quantize_placement(res.q_star, n, sub.popularity)
+        report = simulator.simulate(m, sub, n, args.requests, cfg["seed"] + i)
         analytic_mn = game.evaluate(
-            Placement(q=report.packets / n, cache_size=gcfg.cache_size), sub).r_total
+            Placement(q=m / n, cache_size=gcfg.cache_size), sub).r_total
         stderr = report.backhaul_fraction_stderr
         gap = report.backhaul_fraction_mean - analytic_mn
         # equal costs give stderr 0: only an exact match is then no deviation

@@ -10,6 +10,8 @@ import numpy as np
 
 PROB_TOL = 1e-9
 CAPACITY_TOL = 1e-6
+# the most packets per file: float64 rounding keeps every count in [0, n]
+MAX_FRAGMENTS = 2**52
 
 
 def _probability_vector(values, name: str) -> np.ndarray:
@@ -153,19 +155,19 @@ def quantize_placement(placement: Placement, n: int,
     cache capacity, files that were rounded up lose one packet each, least
     popular first (ties towards the higher index), until the capacity holds.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_FRAGMENTS:
+        raise ValueError(f"n must lie in [1, {MAX_FRAGMENTS}]")
     q = placement.q
     if popularity.num_files != q.size:
         raise ValueError("popularity size does not match the placement")
     m = np.floor(q * n + 0.5).astype(np.int64)
     capacity = int(np.floor(placement.cache_size * n + 1e-9))
-    excess = int(m.sum()) - capacity
+    excess = sum(m.tolist()) - capacity  # in Python ints, which cannot overflow
     if excess > 0:
         order = np.lexsort((-np.arange(q.size), popularity.probs))
         rounded_up = order[m[order] > q[order] * n + 1e-12]
-        if rounded_up.size < excess:  # cannot happen for a feasible placement
-            raise AssertionError("capacity repair failed")
+        if rounded_up.size < excess:  # a huge n can outgrow the repair
+            raise ValueError(f"capacity repair failed at n = {n}")
         m[rounded_up[:excess]] -= 1
     m.setflags(write=False)
     return m

@@ -15,22 +15,19 @@ from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
                     PROB_TOL)
 
 
-def deficit_rate(q: np.ndarray, weights: np.ndarray, gamma: np.ndarray) -> float:
-    """sum_d sum_j gamma_d * w_j * max(1 - d*q_j, 0) on raw arrays."""
-    d = np.arange(1, gamma.size + 1, dtype=float)
-    # in place: at large N each fresh S x N temporary costs page faults
-    deficit = np.multiply.outer(d, q)
-    np.subtract(1.0, deficit, out=deficit)
-    np.maximum(deficit, 0.0, out=deficit)
-    return float(gamma @ deficit @ weights)
-
-
 def legit_rate(placement: Placement, popularity: PopularityDist,
                coverage: CoverageProfile) -> float:
-    """Average backhaul rate of users requesting by `popularity` or a mixed strategy."""
+    """Average backhaul rate of users requesting by `popularity` or a mixed
+    strategy, sum_d sum_j gamma_d p_j max(1 - d q_j, 0)."""
     if popularity.num_files != placement.num_files:
         raise ValueError("popularity size does not match the placement")
-    return deficit_rate(placement.q, popularity.probs, coverage.gamma)
+    gamma = coverage.gamma
+    d = np.arange(1, gamma.size + 1, dtype=float)
+    # in place: at large N each fresh S x N temporary costs page faults
+    deficit = np.multiply.outer(d, placement.q)
+    np.subtract(1.0, deficit, out=deficit)
+    np.maximum(deficit, 0.0, out=deficit)
+    return float(gamma @ deficit @ popularity.probs)
 
 
 def adversary_rate(placement: Placement, coverage: CoverageProfile,

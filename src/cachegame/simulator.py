@@ -1,10 +1,11 @@
 """Monte Carlo simulation of request counts with explicit MDS packet accounting.
 
-Serves as an independent check of the closed-form rates.  A request's cost,
-the packet deficit the MBS has to send over the backhaul, depends only on
-its file and its coverage count, so one multinomial draw over the
-(file, coverage) cells gives the same counts as drawing every request on
-its own, in time and memory that do not depend on the number of requests.
+An independent check of the closed-form rates: the caller passes the packet
+counts m it deployed, and rates the same m.  A request's cost, the packet
+deficit the MBS sends over the backhaul, depends only on its file and its
+coverage count, so one multinomial draw over the (file, coverage) cells
+gives the same counts as drawing every request on its own, in time and
+memory that do not depend on the number of requests.
 """
 
 from __future__ import annotations
@@ -14,22 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import best_response
-from .model import GameConfig, Placement, quantize_placement
+from .model import GameConfig
 
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregate of a simulation run; the mean is in files per request.
-
-    packets holds the deployed per-file packet counts m the run served from.
-    """
+    """Aggregate of a simulation run; the mean is in files per request."""
 
     requests: int
     backhaul_fraction_mean: float
     backhaul_fraction_stderr: float
     per_coverage_counts: np.ndarray
-    packets: np.ndarray
 
     def __post_init__(self):
         counts = np.array(self.per_coverage_counts, dtype=np.int64)
@@ -39,27 +35,32 @@ class SimReport:
             raise ValueError("coverage counts must sum to the request count")
 
 
-def simulate(placement: Placement, cfg: GameConfig, n: int,
-             num_requests: int, seed: int) -> SimReport:
-    """Simulate num_requests deliveries against the quantized placement.
+def simulate(packets, cfg: GameConfig, n: int, num_requests: int,
+             seed: int) -> SimReport:
+    """Simulate num_requests deliveries against the deployed packet counts
+    `packets`, one integer m_j in [0, n] per file of n fragments.
 
     A request is adversarial with probability alpha; legitimate users draw a
     file from the popularity, adversaries all target the least cached file
-    of the deployed m (the lowest index on ties), which need not be the
-    least cached file of q once rounding and the capacity repair apply.
-    A request for file j covered by d SBSs costs max(n - d*m_j, 0)/n; the
-    counts of the N*S (file, coverage) cells are one multinomial draw.  The
-    standard error needs at least two requests.  Deterministic per seed.
+    of m (the lowest index on ties).  A request for file j covered by d SBSs
+    costs max(n - d*m_j, 0)/n; the counts of the N*S (file, coverage) cells
+    are one multinomial draw, deterministic per seed.  The standard error
+    needs at least two requests; n*S must fit int64, so n - d*m_j never wraps.
     """
     if num_requests < 2:
         raise ValueError("need at least two requests for a standard error")
+    gamma = cfg.coverage.gamma
+    if not 1 <= n <= (2**63 - 1) // gamma.size:
+        raise ValueError(f"n must lie in [1, (2**63 - 1) // {gamma.size}]")
+    m = np.asarray(packets)
+    if (m.shape != (cfg.popularity.num_files,) or m.dtype.kind not in "iu"
+            or not 0 <= m.min() <= m.max() <= n):
+        raise ValueError("packets must hold one integer count in [0, n] per file")
+    m = m.astype(np.int64, copy=False)
     rng = np.random.default_rng(seed)
-    m = quantize_placement(placement, n, cfg.popularity)
-    target = best_response(Placement(q=m / n, cache_size=placement.cache_size))
     # the bits of (1 - alpha) p + alpha e_target
     p = (1.0 - cfg.alpha) * cfg.popularity.probs
-    p[target] += cfg.alpha
-    gamma = cfg.coverage.gamma
+    p[int(m.argmin())] += cfg.alpha
     d = np.arange(1, gamma.size + 1)
 
     cost = (np.maximum(n - np.outer(m, d), 0) / n).ravel()
@@ -75,5 +76,4 @@ def simulate(placement: Placement, cfg: GameConfig, n: int,
         backhaul_fraction_mean=mean,
         backhaul_fraction_stderr=math.sqrt(variance / num_requests),
         per_coverage_counts=cells.reshape(m.size, gamma.size).sum(axis=0),
-        packets=m,
     )

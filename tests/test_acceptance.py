@@ -237,9 +237,10 @@ def test_criterion_8_simulation_agreement(gamma_r45):
                              popularity=zipf_popularity(200, 0.7),
                              coverage=gamma_r45, cache_size=cache)
             res = equilibrium_placement(cfg)
-            report = simulate(res.q_star, cfg, n, 100_000, seed=800 + i)
+            # one deployment, simulated and rated: the adversaries target
+            # its least cached file
             m = quantize_placement(res.q_star, n, cfg.popularity)
-            # the adversaries target the least cached deployed file
+            report = simulate(m, cfg, n, 100_000, seed=800 + i)
             analytic_q = res.rates.r_total
             analytic_mn = evaluate(Placement(q=m / n, cache_size=cache), cfg).r_total
             tol = max(4 * report.backhaul_fraction_stderr, 1e-12)

@@ -164,9 +164,12 @@ class TestSweepAlpha:
             assert float(row[1]) <= float(row[6]) + 1e-6
 
     def test_base_is_rated_once(self, config_path, calls):
+        # the alpha = 0 base is off the grid: one extra solve, whose own
+        # rates R_ref_noadv mixes, and no second rating
         assert main(["sweep-alpha", "--config", str(config_path),
                      "--alpha-grid", "0.2:1:0.1"]) == 0
-        assert calls["evaluate"] == 1
+        assert calls["evaluate"] == 0
+        assert calls["equilibrium_placement"] == 9 + 1
 
     def test_deterministic_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -323,7 +326,7 @@ class TestSimulate:
         rows = read_csv(out)
         assert rows[0][:4] == ["alpha", "requests", "mean", "stderr"]
         for row in rows[1:]:
-            assert abs(float(row[-2])) <= 4.0
+            assert abs(float(row[-1])) <= 4.0
 
     def test_one_request_is_rejected(self, config_path, capsys):
         assert main(["simulate", "--config", str(config_path),
@@ -338,14 +341,31 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: --requests")
         assert calls["equilibrium_placement"] == 0
 
-    @pytest.mark.parametrize("key, value", [("fragments_per_file", "0"),
-                                            ("seed", "-1")])
+    @pytest.mark.parametrize("key, value", [
+        ("fragments_per_file", "0"), ("seed", "-1"),
+        # past 2**52 rounding the packet counts in float64 can exceed n; at
+        # 3 * 2**60 the simulator's int64 deficit wrapped, at 1e20 the
+        # counts' int64 cast did
+        ("fragments_per_file", str(model.MAX_FRAGMENTS + 1)),
+        ("fragments_per_file", str(3 * 2**60)),
+        ("fragments_per_file", str(10**20)),
+    ])
     def test_simulator_inputs_are_checked_before_solving(self, config_path, capsys,
                                                          calls, key, value):
         assert main(["simulate", "--config", str(config_path),
                      "--alpha-grid", "0,0.5", f"--{key}", value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} {value}:")
         assert calls["equilibrium_placement"] == 0
+
+    def test_largest_fragment_count_runs(self, config_path, capsys):
+        assert main(["simulate", "--config", str(config_path), "--alpha-grid",
+                     "0,0.3,1", "--fragments_per_file", str(model.MAX_FRAGMENTS)]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            # n packets per file deploy q* to within 1/n
+            assert row["analytic_mn"] == row["analytic_q"]
+            assert abs(float(row["z_score"])) <= 4.0
 
     # with half a file of cache and one fragment per file nothing is
     # deployed, so every request costs 1 and the standard error is 0
@@ -386,6 +406,20 @@ class TestErrors:
     def test_invalid_alpha_grid(self, config_path):
         assert main(["sweep-alpha", "--config", str(config_path),
                      "--alpha-grid", "0:2:0.5"]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "thresholds", "simulate"])
+    def test_config_alpha_is_never_read(self, capsys, command):
+        # these commands take every alpha from the grid, so an invalid config
+        # alpha is unused
+        argv = [command, "--alpha-grid", "0,1", "--requests", "100"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        for alpha in ("1.5", "nan"):
+            assert main([*argv, "--alpha", alpha]) == 0
+            assert capsys.readouterr() == expected
+        # placement reads it
+        assert main(["placement", "--alpha", "1.5"]) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
     def test_grid_step_not_dividing_the_range(self, config_path, capsys):
         assert main(["sweep-alpha", "--config", str(config_path), "--samples",

@@ -14,7 +14,7 @@ import pytest
 from greedy_oracle import greedy_placement
 from lp_oracle import lp_equilibrium
 import cachegame
-from cachegame import game, geometry
+from cachegame import game, geometry, rate, simulator
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        PopularityDist, adversary_rate, best_response,
                        detect_thresholds, equilibrium_placement, evaluate,
@@ -284,6 +284,13 @@ class TestEquilibriumPlacement:
             assert not names & {"random", "default_rng", "numpy.random"}, module.stem
         assert not {"coverage_areas_unit_cell", "CoverageAreas"} & (
             set(vars(cachegame)) | set(cachegame.__all__) | set(vars(geometry)))
+        # the simulator serves the packet counts its caller deployed: it
+        # imports only model, and does not hand the counts back
+        modules = {module.stem for module in path.glob("*.py")}
+        assert {source for source, _ in imports("simulator")} & modules == {"model"}
+        assert "packets" not in {f.name for f in dataclasses.fields(simulator.SimReport)}
+        # legit_rate is the one deficit sum
+        assert not hasattr(rate, "deficit_rate")
 
 
 class TestSegmentTable:

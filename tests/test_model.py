@@ -3,7 +3,7 @@ import pytest
 
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        PopularityDist, quantize_placement, zipf_popularity)
-from cachegame.model import CONFIG_KEYS, load_config
+from cachegame.model import CONFIG_KEYS, MAX_FRAGMENTS, load_config
 
 # head probability of the Zipf law for N=200, z=0.7, frozen from a
 # 50-digit summation of the normalizing series (mpmath)
@@ -75,6 +75,37 @@ class TestQuantizePlacement:
         with pytest.raises(ValueError):
             quantize_placement(Placement(q=[0.5], cache_size=1.0), 0,
                                zipf_popularity(1, 1.0))
+
+    @pytest.mark.parametrize("n", [MAX_FRAGMENTS + 1, 3 * 2**60, 10**20])
+    def test_rejects_an_n_beyond_exact_rounding(self, n):
+        # at 1e20 the int64 cast of the counts was invalid
+        with pytest.raises(ValueError, match="n must lie in"):
+            quantize_placement(Placement(q=[1.0, 0.5], cache_size=1.5), n,
+                               zipf_popularity(2, 1.0))
+
+    def test_largest_n_keeps_every_count_within_n(self):
+        # at n = 2**61 - 1, a full file rounded to 2**61 packets
+        pl = Placement(q=[1.0, 0.5, 0.25, 0.0], cache_size=1.75)
+        m = quantize_placement(pl, MAX_FRAGMENTS, zipf_popularity(4, 1.0))
+        assert m.tolist() == [MAX_FRAGMENTS, 2**51, 2**50, 0]
+
+    def test_capacity_holds_for_a_total_beyond_int64(self):
+        # every file rounds 2**49 + 0.75 packets up, and the 20 000 files
+        # hold more than 2**63 packets, which int64 wrapped to a negative sum
+        size, n = 20_000, 2**50
+        q = np.full(size, (2**49 + 0.75) / n)
+        pl = Placement(q=q, cache_size=q.sum())
+        m = quantize_placement(pl, n, zipf_popularity(size, 1.0))
+        assert sum(m.tolist()) > 2**63
+        assert sum(m.tolist()) <= int(np.floor(pl.cache_size * n + 1e-9))
+        assert set(m.tolist()) == {2**49, 2**49 + 1}
+
+    def test_failed_capacity_repair_is_a_value_error(self):
+        # within the capacity tolerance, sum q exceeds M by 5e-7, which at
+        # n = 1e8 is 50 packets more than any rounding put on
+        pl = Placement(q=[0.5, 0.5], cache_size=1.0 - 5e-7)
+        with pytest.raises(ValueError, match="capacity repair failed"):
+            quantize_placement(pl, 10**8, zipf_popularity(2, 1.0))
 
     def test_rejects_popularity_of_another_size(self):
         with pytest.raises(ValueError, match="popularity size"):

@@ -4,7 +4,6 @@ import pytest
 from cachegame import (CoverageProfile, Placement, PopularityDist,
                        adversary_rate, best_response, legit_rate, total_rate,
                        zipf_popularity)
-from cachegame.rate import deficit_rate
 
 
 def make_inputs(q, cache=None, gamma=(0.25, 0.25, 0.25, 0.25), probs=None):
@@ -38,7 +37,8 @@ class TestLegitRate:
             gamma = rng.dirichlet(np.ones(s))
             d = np.arange(1, s + 1, dtype=float)
             expected = float(gamma @ np.maximum(1.0 - np.outer(d, q), 0.0) @ weights)
-            assert deficit_rate(q, weights, gamma) == expected
+            assert legit_rate(Placement(q=q, cache_size=n), PopularityDist(probs=weights),
+                              CoverageProfile(gamma=gamma)) == expected
 
     def test_dimension_mismatch(self):
         pl, _, cov = make_inputs([0.5, 0.5])
@@ -82,9 +82,10 @@ class TestAdversaryRate:
             target = int(rng.integers(n))
             one_hot = np.zeros(n)
             one_hot[target] = 1.0
-            expected = deficit_rate(q, one_hot, gamma)
-            got = adversary_rate(Placement(q=q, cache_size=n),
-                                 CoverageProfile(gamma=gamma), target)
+            placement = Placement(q=q, cache_size=n)
+            coverage = CoverageProfile(gamma=gamma)
+            expected = legit_rate(placement, PopularityDist(probs=one_hot), coverage)
+            got = adversary_rate(placement, coverage, target)
             assert abs(got - expected) <= 2 * np.spacing(expected), (n, s, target)
 
 

@@ -53,28 +53,30 @@ class TestSimulate:
     def test_full_cache_costs_nothing(self):
         cfg = make_config(0.3, num_files=4, cache=3.9)
         pl = Placement(q=[1.0, 1.0, 1.0, 0.9], cache_size=3.9)
-        report = simulate(pl, cfg, 10, 5_000, seed=1)
+        m = quantize_placement(pl, 10, cfg.popularity)
+        report = simulate(m, cfg, 10, 5_000, seed=1)
         assert report.backhaul_fraction_mean < 0.05
 
     def test_empty_cache_costs_one_file(self):
         cfg = make_config(0.3)
-        pl = Placement(q=np.zeros(20), cache_size=4.0)
-        report = simulate(pl, cfg, 100, 5_000, seed=2)
+        report = simulate(np.zeros(20, dtype=int), cfg, 100, 5_000, seed=2)
         assert report.backhaul_fraction_mean == 1.0
         assert report.backhaul_fraction_stderr == 0.0
 
     def test_seed_determinism(self):
         cfg = make_config(0.5)
         pl = Placement(q=np.linspace(0.8, 0.0, 20), cache_size=8.0)
-        a = simulate(pl, cfg, 100, 20_000, seed=33)
-        b = simulate(pl, cfg, 100, 20_000, seed=33)
+        m = quantize_placement(pl, 100, cfg.popularity)
+        a = simulate(m, cfg, 100, 20_000, seed=33)
+        b = simulate(m, cfg, 100, 20_000, seed=33)
         assert a.backhaul_fraction_mean == b.backhaul_fraction_mean
         assert np.array_equal(a.per_coverage_counts, b.per_coverage_counts)
 
     def test_coverage_counts_partition_requests(self):
         cfg = make_config(0.2)
         pl = Placement(q=np.linspace(0.6, 0.0, 20), cache_size=6.0)
-        report = simulate(pl, cfg, 50, 10_000, seed=4)
+        m = quantize_placement(pl, 50, cfg.popularity)
+        report = simulate(m, cfg, 50, 10_000, seed=4)
         assert report.per_coverage_counts.sum() == 10_000
 
     def test_draws_distributions_within_tolerance(self):
@@ -85,15 +87,44 @@ class TestSimulate:
             make_config(0.5, gamma=np.array([0.3, 0.6, 0.1, 0.0])),
             popularity=PopularityDist(probs=probs))
         pl = Placement(q=np.linspace(0.4, 0.0, 20), cache_size=4.0)
-        assert simulate(pl, cfg, 10, 1_000, seed=3).requests == 1_000
+        m = quantize_placement(pl, 10, cfg.popularity)
+        assert simulate(m, cfg, 10, 1_000, seed=3).requests == 1_000
 
     def test_rejects_zero_requests(self):
         cfg = make_config(0.2)
         # one request has no standard error either
         for num_requests in (0, 1):
             with pytest.raises(ValueError, match="two requests"):
-                simulate(Placement(q=np.zeros(20), cache_size=4.0), cfg, 100,
-                         num_requests, seed=1)
+                simulate(np.zeros(20, dtype=int), cfg, 100, num_requests, seed=1)
+
+    @pytest.mark.parametrize("packets", [
+        np.full(19, 5), np.full((20, 1), 5), np.full(20, 5.0),
+        np.full(20, True), np.r_[np.full(19, 5), -1], np.r_[np.full(19, 5), 101],
+    ], ids=["short", "2d", "float", "bool", "negative", "above_n"])
+    def test_rejects_bad_packet_counts(self, packets):
+        with pytest.raises(ValueError, match="one integer count in \\[0, n\\]"):
+            simulate(packets, make_config(0.2), 100, 1_000, seed=1)
+
+    def test_rejects_an_n_whose_deficit_would_wrap(self):
+        # at n = 3 * 2**60, n - d*m_j wrapped for d = 4 and cost 7/3 files
+        cfg = make_config(0.5)
+        largest = (2**63 - 1) // cfg.coverage.max_coverage
+        for n in (0, largest + 1, 3 * 2**60):
+            with pytest.raises(ValueError, match="n must lie in"):
+                simulate(np.zeros(20, dtype=int), cfg, n, 1_000, seed=1)
+
+    def test_largest_n_runs(self):
+        cfg = make_config(0.5)
+        n = (2**63 - 1) // cfg.coverage.max_coverage
+        # half the files hold all n packets, the rest none: a request costs
+        # 1 or 0 exactly, so the mean is the share of the empty files
+        m = np.where(np.arange(20) % 2 == 0, n, 0)
+        report = simulate(m, cfg, n, 100_000, seed=7)
+        p = (1 - cfg.alpha) * cfg.popularity.probs
+        p[1] += cfg.alpha
+        expected = p[1::2].sum()
+        assert abs(report.backhaul_fraction_mean - expected) <= (
+            4 * report.backhaul_fraction_stderr)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_agrees_with_analytic_rate(self, alpha):
@@ -102,9 +133,8 @@ class TestSimulate:
         rng = np.random.default_rng(60)
         q = np.sort(rng.random(50))[::-1] * 0.9
         pl = Placement(q=q, cache_size=q.sum() + 0.01)
-        report = simulate(pl, cfg, n, 100_000, seed=61)
         m = quantize_placement(pl, n, cfg.popularity)
-        assert np.array_equal(report.packets, m)
+        report = simulate(m, cfg, n, 100_000, seed=61)
         expected = evaluate(Placement(q=m / n, cache_size=pl.cache_size), cfg).r_total
         tol = max(4 * report.backhaul_fraction_stderr, 1e-12)
         assert abs(report.backhaul_fraction_mean - expected) <= tol
@@ -124,7 +154,7 @@ class TestSimulate:
         assert (res.j_star, m[res.j_star], m[121], m.min()) == (20, 6, 5, 5)
         deployed = Placement(q=m / n, cache_size=cfg.cache_size)
         target = int(np.argmin(m))
-        report = simulate(res.q_star, cfg, n, 100_000, seed=805)
+        report = simulate(m, cfg, n, 100_000, seed=805)
         expected = analytic_total(deployed, cfg, target)
         assert abs(report.backhaul_fraction_mean - expected) <= (
             4 * report.backhaul_fraction_stderr)
@@ -151,21 +181,21 @@ class TestSimulate:
     def test_a_trillion_requests(self):
         n, requests = 100, 10**12
         cfg = make_config(0.5, num_files=200, cache=20.0)
-        res = equilibrium_placement(cfg)
-        report = simulate(res.q_star, cfg, n, requests, seed=1012)
+        m = quantize_placement(equilibrium_placement(cfg).q_star, n, cfg.popularity)
+        report = simulate(m, cfg, n, requests, seed=1012)
         assert report.per_coverage_counts.sum() == requests
-        expected = evaluate(Placement(q=report.packets / n, cache_size=20.0),
-                            cfg).r_total
+        expected = evaluate(Placement(q=m / n, cache_size=20.0), cfg).r_total
         assert abs(report.backhaul_fraction_mean - expected) <= (
             4 * report.backhaul_fraction_stderr)
 
     def test_request_cap_is_what_the_draw_takes(self):
         cfg = make_config(0.5)
         pl = Placement(q=np.linspace(0.4, 0.0, 20), cache_size=4.0)
-        report = simulate(pl, cfg, 10, cli.MAX_REQUESTS, seed=5)
+        m = quantize_placement(pl, 10, cfg.popularity)
+        report = simulate(m, cfg, 10, cli.MAX_REQUESTS, seed=5)
         assert report.per_coverage_counts.sum() == cli.MAX_REQUESTS
         with pytest.raises(OverflowError):
-            simulate(pl, cfg, 10, cli.MAX_REQUESTS + 1, seed=5)
+            simulate(m, cfg, 10, cli.MAX_REQUESTS + 1, seed=5)
 
 
 class TestAgainstRequestOracle:
@@ -179,14 +209,14 @@ class TestAgainstRequestOracle:
         # the least cached file sits in the middle of the library
         q = np.linspace(0.5, 0.1, 20)
         q[7] = 0.02
-        pl = Placement(q=q, cache_size=q.sum())
-        m = quantize_placement(pl, n, cfg.popularity)
+        m = quantize_placement(Placement(q=q, cache_size=q.sum()), n, cfg.popularity)
         target = np.zeros(20)
         target[np.argmin(m)] = 1.0
         p = (1 - alpha) * cfg.popularity.probs + alpha * target
         gamma = cfg.coverage.gamma
 
-        oracle, oracle_files = simulate_requests(pl, cfg, n, requests, seed=90)
+        # both simulators serve the same deployment
+        oracle, oracle_files = simulate_requests(m, cfg, n, requests, seed=90)
         drawn = []
         default_rng = np.random.default_rng
 
@@ -201,17 +231,16 @@ class TestAgainstRequestOracle:
                 return drawn[-1]
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng", Recorder)
-            report = simulate(pl, cfg, n, requests, seed=91)
+            report = simulate(m, cfg, n, requests, seed=91)
         files = drawn[0].reshape(20, gamma.size).sum(axis=1)
 
-        assert np.array_equal(oracle.packets, report.packets)
         for counts, probs in ((oracle.per_coverage_counts, gamma),
                               (oracle_files, p),
                               (report.per_coverage_counts, gamma),
                               (files, p)):
             assert counts.sum() == requests
             assert chi_square_pvalue(counts, probs) > 1e-6
-        expected = evaluate(Placement(q=m / n, cache_size=pl.cache_size), cfg).r_total
+        expected = evaluate(Placement(q=m / n, cache_size=q.sum()), cfg).r_total
         for run in (oracle, report):
             assert abs(run.backhaul_fraction_mean - expected) <= (
                 4 * run.backhaul_fraction_stderr)
