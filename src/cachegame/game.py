@@ -38,14 +38,14 @@ Allocation Problems, 1988):
   weights p_j c_l of one level l fall with popularity, so one binary search
   per level counts its heavy segments.  Past a = 1 - 1/(N p_max),
   x_a > p_max: nothing above mu is heavy, q* is uniform.
-- Cost per solve.  What depends on the popularity alone is memoised per
-  popularity, the segment order per (popularity, coverage) pair, each in
-  one slot that a call with equal input bytes reuses.  The floor loop runs
-  on Python numbers and bisects a level's column only on the levels it
-  visits: S bisections of about log2 N steps per level.  The length the
-  heavy segments fill is summed exactly, in integers over one power-of-two
-  denominator, and rounded once, so q* has the same bits on every CPU and
-  BLAS build.  So a solve makes a fixed few numpy calls, whatever N is.
+- Cost per solve.  The segment table of one (popularity, coverage) pair
+  is memoised in one slot that a call with equal input bytes reuses, and
+  the greedy reads nothing else.  The floor loop runs on Python numbers
+  and bisects a level's column only on the levels it visits: S bisections
+  of about log2 N steps per level.  The length the heavy segments fill is
+  summed exactly, in integers over one power-of-two denominator, and
+  rounded once, so q* has the same bits on every CPU and BLAS build.  So a
+  solve makes a fixed few numpy calls, whatever N is.
 """
 
 from __future__ import annotations
@@ -128,37 +128,8 @@ class _Memo:
 
 
 @dataclass(frozen=True)
-class _Library:
-    """The part of the segment table that depends on the popularity alone.
-
-    Every array is read-only.  by_popularity lists the files most popular
-    first, ties in index order, and descending their probabilities;
-    cumprobs[m - 1] = P_m, the sum of the m smallest, and ranks[m - 1] = m.
-    """
-
-    by_popularity: np.ndarray
-    descending: np.ndarray
-    cumprobs: np.ndarray
-    ranks: np.ndarray
-
-
-@_Memo
-def _library(probs_bytes: bytes) -> _Library:
-    """The popularity part of the segment table, keyed by the bytes of the
-    float64 popularity vector; a radius sweep reuses it for every gamma."""
-    probs = np.frombuffer(probs_bytes)
-    by_popularity = np.argsort(-probs, kind="stable")
-    library = _Library(by_popularity=by_popularity, descending=probs[by_popularity],
-                       cumprobs=np.cumsum(np.sort(probs)),
-                       ranks=np.arange(1.0, probs.size + 1))
-    for array in vars(library).values():
-        array.setflags(write=False)
-    return library
-
-
-@dataclass(frozen=True)
 class _Segments:
-    """The sorted segment order of one (popularity, coverage) pair.
+    """The segment table of one (popularity, coverage) pair.
 
     Every field is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
     per unit of popularity; hi[k] and its width hi[k] - lo[k] are exactly
@@ -166,7 +137,8 @@ class _Segments:
     belongs to file owner[i] and level segment[i + 1]; segment[0] is S, a
     level of length 0 that starts the running sums.  columns views the
     negated weights -p_j c_l level by level, each level's N in popularity
-    order, so ascending within a level.
+    order, so ascending within a level.  cumprobs[m - 1] = P_m, the sum of
+    the m smallest probabilities, and ranks[m - 1] = m.
     """
 
     c: tuple[float, ...]
@@ -178,20 +150,23 @@ class _Segments:
     owner: np.ndarray
     segment: np.ndarray
     columns: memoryview
-    library: _Library
+    cumprobs: np.ndarray
+    ranks: np.ndarray
 
 
 @_Memo
 def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
     """The segment table of the module docstring, keyed by the bytes of the
     float64 popularity and coverage vectors; it depends on nothing else."""
-    library = _library(probs_bytes)
-    gamma = np.frombuffer(gamma_bytes)
-    s, n = gamma.size, library.descending.size
-    hi = 1.0 / np.arange(s, 0, -1)                # segment ends, increasing q
-    lo = np.append(0.0, hi[:-1])
-    c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
-    columns = np.multiply.outer(-c, library.descending).ravel()
+    probs, gamma = np.frombuffer(probs_bytes), np.frombuffer(gamma_bytes)
+    s, n = gamma.size, probs.size
+    # files most popular first, ties in index order
+    by_popularity = np.argsort(-probs, kind="stable")
+    descending = probs[by_popularity]
+    hi = [1.0 / k for k in range(s, 0, -1)]       # segment ends, increasing q
+    lo = [0.0, *hi[:-1]]
+    c = (np.arange(1, s + 1) * gamma).cumsum()[::-1]      # c_k of each segment
+    columns = np.multiply.outer(-c, descending).ravel()
     # the stable sort merges the S ascending levels, and ties come out level
     # by level; re-sorting each tie by file, then level, gives the order of
     # one stable sort over the weights laid out file by file
@@ -203,33 +178,33 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
         tie = np.concatenate(([0], np.cumsum(~tied)))
         regroup = np.argsort((tie * n + position) * s + level, kind="stable")
         level, position = level[regroup], position[regroup]
-    owner = library.by_popularity[position]
+    owner = by_popularity[position]
     segment = np.concatenate(([s], level))
-    for array in (columns, owner, segment):
+    # the ascending probabilities, so the sums of np.sort(probs) bit for bit
+    cumprobs = descending[::-1].cumsum()
+    ranks = np.arange(1.0, n + 1)
+    for array in (columns, owner, segment, cumprobs, ranks):
         array.setflags(write=False)
     # every float is an integer over a power of two, so the largest
     # denominator is a multiple of all the others
-    ratios = [v.as_integer_ratio() for v in [*hi.tolist(), *(hi - lo).tolist()]]
+    ratios = [v.as_integer_ratio() for v in [*hi, *map(operator.sub, hi, lo)]]
     scale = max(den for _, den in ratios)
     exact = tuple(num * (scale // den) for num, den in ratios)
-    return _Segments(c=tuple(c.tolist()), lo=tuple(lo.tolist()),
-                     hi=tuple(hi.tolist()), hi_exact=exact[:s],
-                     width_exact=exact[s:], scale=scale, owner=owner,
-                     segment=segment, columns=memoryview(columns),
-                     library=library)
+    return _Segments(c=tuple(c.tolist()), lo=tuple(lo), hi=tuple(hi),
+                     hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
+                     owner=owner, segment=segment, columns=memoryview(columns),
+                     cumprobs=cumprobs, ranks=ranks)
 
 
-def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
-                      cache: float) -> np.ndarray:
-    """Exact minimizer of the leader's objective: the greedy fill above the
-    closed-form floor of the module docstring.  Equal weights fill in
-    popularity order, ties in index order, so q is non-increasing in it."""
-    t = _segments(probs.tobytes(), gamma.tobytes())
-    n, s = probs.size, gamma.size
+def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
+    """Exact minimizer of the leader's objective on the segment table t: the
+    greedy fill above the closed-form floor of the module docstring.  Equal
+    weights fill in popularity order, ties in index order, so q is
+    non-increasing in it."""
+    n, s = t.ranks.size, len(t.c)
     c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
     x_a = (0.0 if alpha == 0.0 else math.inf if alpha == 1.0 else
-           float(np.min((alpha / (1.0 - alpha) + t.library.cumprobs)
-                        / t.library.ranks)))
+           float(np.min((alpha / (1.0 - alpha) + t.cumprobs) / t.ranks)))
     for k in range(s):                            # levels, increasing q
         # level-l segments weighing >= c_k x_a, all of them if c_k = 0
         bound = -(c[k] * x_a) if c[k] > 0 else -0.0
@@ -256,8 +231,8 @@ def _greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     """Leader's equilibrium placement: the exact optimum with the least floor."""
-    q = _greedy_placement(cfg.popularity.probs, cfg.coverage.gamma, cfg.alpha,
-                          cfg.cache_size)
+    t = _segments(cfg.popularity.probs.tobytes(), cfg.coverage.gamma.tobytes())
+    q = _greedy_placement(t, cfg.alpha, cfg.cache_size)
     placement = Placement(q=q, cache_size=cfg.cache_size)
     j_star, rates = _rate(placement, cfg)
     return EquilibriumResult(q_star=placement, j_star=j_star, rates=rates,

@@ -154,6 +154,8 @@ def quantize_placement(placement: Placement, n: int,
     Rounding is to the nearest integer; if the rounded counts overshoot the
     cache capacity, files that were rounded up lose one packet each, least
     popular first (ties towards the higher index), until the capacity holds.
+    At a huge n, sum(q) can exceed M by more packets than rounding put on;
+    the rest then comes off the least popular files that still hold packets.
     """
     if not 1 <= n <= MAX_FRAGMENTS:
         raise ValueError(f"n must lie in [1, {MAX_FRAGMENTS}]")
@@ -166,9 +168,15 @@ def quantize_placement(placement: Placement, n: int,
     if excess > 0:
         order = np.lexsort((-np.arange(q.size), popularity.probs))
         rounded_up = order[m[order] > q[order] * n + 1e-12]
-        if rounded_up.size < excess:  # a huge n can outgrow the repair
-            raise ValueError(f"capacity repair failed at n = {n}")
         m[rounded_up[:excess]] -= 1
+        excess -= rounded_up.size
+        # the capacity is never negative, so the files hold what is left
+        for j in order:
+            if excess <= 0:
+                break
+            take = min(excess, int(m[j]))
+            m[j] -= take
+            excess -= take
     m.setflags(write=False)
     return m
 

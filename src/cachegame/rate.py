@@ -45,8 +45,9 @@ def total_rate(alpha: float, r_legit: float, r_adv: float) -> RateBreakdown:
     """Mix the per-user rates by the adversary fraction alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if not (-PROB_TOL <= r_legit <= 1.0 + PROB_TOL
-            and -PROB_TOL <= r_adv <= 1.0 + PROB_TOL):
+    # legit_rate weighs by two sums that may each pass 1 by PROB_TOL
+    top = 1.0 + 3 * PROB_TOL
+    if not (-PROB_TOL <= r_legit <= top and -PROB_TOL <= r_adv <= top):
         raise ValueError("rates must lie in [0, 1]")
     r_legit = min(max(r_legit, 0.0), 1.0)
     r_adv = min(max(r_adv, 0.0), 1.0)

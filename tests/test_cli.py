@@ -31,10 +31,10 @@ def read_csv(path):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of equilibrium_placement, evaluate, quantize_placement and
-    zipf_popularity."""
-    counts = {"equilibrium_placement": 0, "evaluate": 0, "quantize_placement": 0,
-              "zipf_popularity": 0}
+    """Call counts of equilibrium_placement, no_adversary_placement,
+    evaluate, quantize_placement and zipf_popularity."""
+    counts = {"equilibrium_placement": 0, "no_adversary_placement": 0,
+              "evaluate": 0, "quantize_placement": 0, "zipf_popularity": 0}
 
     def count(name, *modules):
         # patch every namespace that may hold the function, so a call
@@ -49,6 +49,7 @@ def calls(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
 
     count("equilibrium_placement", game)
+    count("no_adversary_placement", game)
     count("evaluate", game)
     count("quantize_placement", model, simulator, cli)
     count("zipf_popularity", model, cli)
@@ -254,6 +255,14 @@ class TestThresholds:
         assert float(last[1]) == pytest.approx(uniform, abs=1e-4)
         assert float(last[2]) == pytest.approx(uniform, abs=1e-4)
 
+    def test_three_points_make_five_solves(self, tmp_path, calls):
+        assert main(["thresholds", "--alpha-grid", "0,0.5,1",
+                     "--out", str(tmp_path / "thr.csv")]) == 0
+        # three grid solves plus the no-adversary solve in detect_thresholds
+        # and the one in cmd_thresholds
+        assert calls["equilibrium_placement"] == 5
+        assert calls["no_adversary_placement"] == 2
+
     def test_one_point_grid_has_no_thresholds(self, config_path, tmp_path, capsys):
         assert main(["thresholds", "--config", str(config_path), "--out",
                      str(tmp_path / "thr.csv"), "--samples", "10000",
@@ -366,6 +375,14 @@ class TestSimulate:
             # n packets per file deploy q* to within 1/n
             assert row["analytic_mn"] == row["analytic_q"]
             assert abs(float(row["z_score"])) <= 4.0
+
+    def test_fragment_count_past_the_rounding_runs(self, capsys):
+        # sum q* exceeds M by more packets than rounding puts on at this n
+        assert main(["simulate", "--cache_size", "10", "--zipf_exponent", "1.2",
+                     "--fragments_per_file", "4503599627370496",
+                     "--alpha-grid", "0"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["analytic_mn"] for row in rows] == [rows[0]["analytic_q"]]
 
     # with half a file of cache and one fragment per file nothing is
     # deployed, so every request costs 1 and the standard error is 0

@@ -100,12 +100,14 @@ class TestQuantizePlacement:
         assert sum(m.tolist()) <= int(np.floor(pl.cache_size * n + 1e-9))
         assert set(m.tolist()) == {2**49, 2**49 + 1}
 
-    def test_failed_capacity_repair_is_a_value_error(self):
+    def test_repair_takes_what_rounding_did_not_put_on(self):
         # within the capacity tolerance, sum q exceeds M by 5e-7, which at
-        # n = 1e8 is 50 packets more than any rounding put on
+        # n = 1e8 is 50 packets more than any rounding put on; the least
+        # popular file gives them back
         pl = Placement(q=[0.5, 0.5], cache_size=1.0 - 5e-7)
-        with pytest.raises(ValueError, match="capacity repair failed"):
-            quantize_placement(pl, 10**8, zipf_popularity(2, 1.0))
+        m = quantize_placement(pl, 10**8, zipf_popularity(2, 1.0))
+        assert m.tolist() == [50_000_000, 49_999_950]
+        assert sum(m.tolist()) == int(np.floor(pl.cache_size * 10**8 + 1e-9))
 
     def test_rejects_popularity_of_another_size(self):
         with pytest.raises(ValueError, match="popularity size"):

@@ -102,6 +102,8 @@ class TestTotalRate:
             total_rate(1.5, 0.3, 0.9)
         with pytest.raises(ValueError):
             total_rate(0.5, -0.1, 0.9)
+        with pytest.raises(ValueError):
+            total_rate(0.5, 0.3, 1.5)
 
 
 def random_instance(rng, size=None):
