@@ -241,36 +241,30 @@ COMMANDS = {
 }
 
 
-# (flag, default, parsed default, help) of each grid option: the default is
-# parsed once, here, since argparse runs `type` on a string default in every
-# parse, also for the commands that never read that grid
-_GRID_OPTIONS = [(flag, text, parse_grid(text), what) for flag, text, what in (
-    ("--alpha-grid", "0:1:0.01", "alpha sweep grid, a:b:step or comma list"),
-    ("--r-grid", "45:60:5", "SBS radius grid in meters"),
-    ("--cache-grid", "10:40:10", "cache size grid in files"),
-)]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cachegame",
-        description="Adversary-robust coded cache placement experiments",
-    )
-    parser.add_argument("command", choices=COMMANDS, help="what to compute")
-    parser.add_argument("--config", type=Path, help="key = value config file")
-    parser.add_argument("--out", type=Path, help="output CSV path (default stdout)")
-    parser.add_argument("--samples", type=int, default=1_000_000,
-                        help="ignored: the coverage profile is exact; accepted "
-                             "so that older command lines still run")
-    for flag, text, grid, what in _GRID_OPTIONS:
-        parser.add_argument(flag, type=parse_grid, default=grid,
-                            help=f"{what} (default {text})")
-    parser.add_argument("--requests", type=int, default=100_000,
-                        help="requests per simulated row")
-    for key, typ in CONFIG_KEYS.items():
-        parser.add_argument(f"--{key}", type=typ, dest=key, default=None,
-                            help=f"override config key {key}")
-    return parser
+# built once per process, at import; each grid default is parsed here, as a
+# list, since argparse runs `type` on a string default in every parse
+PARSER = argparse.ArgumentParser(
+    prog="cachegame",
+    description="Adversary-robust coded cache placement experiments",
+)
+PARSER.add_argument("command", choices=COMMANDS, help="what to compute")
+PARSER.add_argument("--config", type=Path, help="key = value config file")
+PARSER.add_argument("--out", type=Path, help="output CSV path (default stdout)")
+PARSER.add_argument("--samples", type=int, default=1_000_000,
+                    help="ignored: the coverage profile is exact; accepted "
+                         "so that older command lines still run")
+for flag, text, what in (
+        ("--alpha-grid", "0:1:0.01", "alpha sweep grid, a:b:step or comma list"),
+        ("--r-grid", "45:60:5", "SBS radius grid in meters"),
+        ("--cache-grid", "10:40:10", "cache size grid in files")):
+    PARSER.add_argument(flag, type=parse_grid, default=parse_grid(text),
+                        help=f"{what} (default {text})")
+PARSER.add_argument("--requests", type=int, default=100_000,
+                    help="requests per simulated row")
+for key, typ in CONFIG_KEYS.items():
+    PARSER.add_argument(f"--{key}", type=typ, dest=key, default=None,
+                        help=f"override config key {key}")
+del flag, text, what, key, typ
 
 
 def _check_writable(path: Path) -> None:
@@ -288,7 +282,7 @@ def _check_writable(path: Path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
         cfg = load_config(args.config, overrides)

@@ -44,8 +44,10 @@ Allocation Problems, 1988):
   and bisects a level's column only on the levels it visits: S bisections
   of about log2 N steps per level.  The length the heavy segments fill is
   summed exactly, in integers over one power-of-two denominator, and
-  rounded once, so q* has the same bits on every CPU and BLAS build.  So a
-  solve makes a fixed few numpy calls, whatever N is.
+  rounded once, so q* has the same bits on every CPU and BLAS build.  The
+  fill ends at the budget: only the segments that start below it are
+  filled and summed per file, though the running sums still cover the whole
+  heavy prefix.  So a solve makes a fixed few numpy calls, whatever N is.
 """
 
 from __future__ import annotations
@@ -219,14 +221,16 @@ def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
         if mu <= hi[k]:
             break
     heavy = sum(count)
-    # in floating point M - N*mu can come out as -eps
-    budget = max(cache - n * mu, 0.0)
+    budget = cache - n * mu
     # the sorted segments' lengths above mu, after a leading 0.0 (level s)
     length = np.array([max(h - max(l, mu), 0.0) for l, h in zip(lo, hi)]
                       + [0.0])[t.segment[:heavy + 1]]
     start = length[:-1].cumsum()                  # 0.0, then the running sums
-    fill = np.minimum(np.maximum(budget - start, 0.0), length[1:])
-    return mu + np.bincount(t.owner[:heavy], weights=fill, minlength=n)
+    # the fill ends at the first segment that starts at or past the budget
+    # (at once if M - N*mu came out as -eps); the rest would add 0.0
+    cut = start.searchsorted(budget)
+    fill = np.minimum(budget - start[:cut], length[1:cut + 1])
+    return mu + np.bincount(t.owner[:cut], weights=fill, minlength=n)
 
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
@@ -291,10 +295,11 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
     alphas = np.asarray(alpha_grid, dtype=float)
     if alphas.size == 0:
         raise ValueError("alpha grid must be non-empty")
+    # written so that NaN fails the test
+    if not np.all((alphas >= 0) & (alphas <= 1)):
+        raise ValueError("alpha grid must lie in [0, 1]")
     if np.any(np.diff(alphas) < 0):
         raise ValueError("alpha grid must be sorted")
-    if alphas[0] < 0 or alphas[-1] > 1:
-        raise ValueError("alpha grid must lie in [0, 1]")
     if len(results) != alphas.size:
         raise ValueError("results do not match the alpha grid")
     dist_noadv, dist_uniform = _distances(

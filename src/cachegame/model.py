@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,6 +158,8 @@ def quantize_placement(placement: Placement, n: int,
     At a huge n, sum(q) can exceed M by more packets than rounding put on;
     the rest then comes off the least popular files that still hold packets.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= MAX_FRAGMENTS:
         raise ValueError(f"n must lie in [1, {MAX_FRAGMENTS}]")
     q = placement.q

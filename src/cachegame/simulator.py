@@ -11,6 +11,7 @@ memory that do not depend on the number of requests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ def simulate(packets, cfg: GameConfig, n: int, num_requests: int,
     are one multinomial draw, deterministic per seed.  The standard error
     needs at least two requests; n*S must fit int64, so n - d*m_j never wraps.
     """
+    for name, count in (("num_requests", num_requests), ("n", n)):
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if num_requests < 2:
         raise ValueError("need at least two requests for a standard error")
     gamma = cfg.coverage.gamma

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cachegame import cli, game, model, simulator
-from cachegame.cli import build_parser, main, parse_grid
+from cachegame.cli import PARSER, main, parse_grid
 
 
 @pytest.fixture
@@ -114,7 +115,7 @@ class TestParseGrid:
 
     def test_string_defaults_are_parsed(self):
         # argparse applies `type` to a string default
-        args = build_parser().parse_args(["sweep-alpha"])
+        args = PARSER.parse_args(["sweep-alpha"])
         assert len(args.alpha_grid) == 101
         assert all(isinstance(a, float) for a in args.alpha_grid)
         assert args.r_grid == [45.0, 50.0, 55.0, 60.0]
@@ -504,11 +505,29 @@ class TestParser:
     def test_options_before_and_after_the_command(self):
         options = ["--alpha-grid", "0,0.5", "--seed", "3", "--num_files", "50",
                    "--samples", "10000"]
-        after = build_parser().parse_args(["thresholds", *options])
-        before = build_parser().parse_args([*options, "thresholds"])
+        after = PARSER.parse_args(["thresholds", *options])
+        before = PARSER.parse_args([*options, "thresholds"])
         assert vars(before) == vars(after)
         assert after.command == "thresholds" and after.seed == 3
         assert after.alpha_grid == [0.0, 0.5] and after.samples == 10_000
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (["gamma"], ["--seed", "2", "gamma"],
+                     ["sweep-cache", "--cache-grid", "10"]):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_grid_defaults_are_parsed_lists(self):
+        # a string default would be parsed again in every call
+        for dest in ("alpha_grid", "r_grid", "cache_grid"):
+            assert isinstance(PARSER.get_default(dest), list)
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

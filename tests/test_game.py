@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -414,11 +415,20 @@ class TestGreedyOracle:
                      [0.003324221461041934, 0.3351992242511213, 0.09837502135557089,
                       0.5631015329322658], 0.03252425905753916, 5.693803651638614)]]
 
-    @pytest.mark.parametrize("source", ["random", "tie_heavy", "tiny_alpha", "fused_sum"])
+    @staticmethod
+    def large_configs():
+        # at alpha = 0 every segment is heavy, and the fill stops at the budget
+        probs = zipf_popularity(20_000, 0.7).probs
+        return [make_config(alpha, probs, GAMMA_R45, 2000.0)
+                for alpha in (0.0, 0.1, 0.5)]
+
+    @pytest.mark.parametrize("source", ["random", "tie_heavy", "tiny_alpha", "fused_sum",
+                                        "large"])
     def test_bit_identical(self, source):
         cases = {"random": self.random_configs, "tie_heavy": tie_heavy_configs,
                  "tiny_alpha": lambda: [tiny_alpha_config()],
-                 "fused_sum": self.fused_sum_configs}[source]()
+                 "fused_sum": self.fused_sum_configs,
+                 "large": self.large_configs}[source]()
         for k, cfg in enumerate(cases):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs.tobytes(), gamma.tobytes())
@@ -565,8 +575,10 @@ class TestSweepAndThresholds:
 
     @pytest.mark.parametrize("grid, match", [
         ([], "non-empty"), ([0.5, 0.0], "sorted"), ([-0.1, 0.5], r"\[0, 1\]"),
-        ([0.5, 1.5], r"\[0, 1\]"), ([0.0, 0.5], "do not match"),
-    ], ids=["empty", "unsorted", "below_zero", "above_one", "results_length"])
+        ([0.5, 1.5], r"\[0, 1\]"), ([0.0, math.nan, 1.0], r"\[0, 1\]"),
+        ([math.nan], r"\[0, 1\]"), ([0.0, 0.5], "do not match"),
+    ], ids=["empty", "unsorted", "below_zero", "above_one", "nan_inside", "all_nan",
+            "results_length"])
     def test_rejects_bad_grid_or_results(self, grid, match):
         cfg = reference_config()
         with pytest.raises(ValueError, match=match):

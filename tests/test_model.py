@@ -75,6 +75,10 @@ class TestQuantizePlacement:
         with pytest.raises(ValueError):
             quantize_placement(Placement(q=[0.5], cache_size=1.0), 0,
                                zipf_popularity(1, 1.0))
+        # 2.5 fragments rounded to [1, 1] packets
+        with pytest.raises(ValueError, match="n must be an integer"):
+            quantize_placement(Placement(q=[0.5, 0.5], cache_size=1.0), 2.5,
+                               zipf_popularity(2, 1.0))
 
     @pytest.mark.parametrize("n", [MAX_FRAGMENTS + 1, 3 * 2**60, 10**20])
     def test_rejects_an_n_beyond_exact_rounding(self, n):

@@ -96,6 +96,10 @@ class TestSimulate:
         for num_requests in (0, 1):
             with pytest.raises(ValueError, match="two requests"):
                 simulate(np.zeros(20, dtype=int), cfg, 100, num_requests, seed=1)
+        # 1e5 reported 100000.0 requests; 2.5 failed on the coverage counts
+        for num_requests in (2.5, 1e5):
+            with pytest.raises(ValueError, match="num_requests must be an integer"):
+                simulate(np.zeros(20, dtype=int), cfg, 100, num_requests, seed=1)
 
     @pytest.mark.parametrize("packets", [
         np.full(19, 5), np.full((20, 1), 5), np.full(20, 5.0),
@@ -112,6 +116,9 @@ class TestSimulate:
         for n in (0, largest + 1, 3 * 2**60):
             with pytest.raises(ValueError, match="n must lie in"):
                 simulate(np.zeros(20, dtype=int), cfg, n, 1_000, seed=1)
+        # 2.5 served 2.5 fragments per file
+        with pytest.raises(ValueError, match="n must be an integer"):
+            simulate(np.full(20, 2), cfg, 2.5, 1_000, seed=1)
 
     def test_largest_n_runs(self):
         cfg = make_config(0.5)
