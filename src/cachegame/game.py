@@ -46,8 +46,16 @@ Allocation Problems, 1988):
   summed exactly, in integers over one power-of-two denominator, and
   rounded once, so q* has the same bits on every CPU and BLAS build.  The
   fill ends at the budget: only the segments that start below it are
-  filled and summed per file, though the running sums still cover the whole
-  heavy prefix.  So a solve makes a fixed few numpy calls, whatever N is.
+  filled and summed per file, and the running sums cover a window of N
+  segments, doubled while the budget lies past its end.  So a solve makes
+  a fixed few numpy calls, whatever N is.  q*(alpha) is piecewise constant,
+  so a second slot keeps the last solve, and a call that lands on its piece
+  reuses its fill, placement, best response and rates, and mixes only the
+  rates by its own alpha.  It must read the same table and the same
+  popularity and coverage objects (with_alpha and dataclasses.replace share
+  them, so a sweep hits; a config built afresh never does), an equal M and
+  a floor with the same bits, and its heavy count must be the slot's or
+  both must reach past the segments the slot filled.
 """
 
 from __future__ import annotations
@@ -107,26 +115,32 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     return _rate(placement, cfg)[1]
 
 
-class _Memo:
-    """One-slot memo of a table builder keyed by bytes: equal bytes (a memcmp,
-    not a hash) reuse the last table, kept with its key in one tuple."""
+class _Slot:
+    """One slot: the last entry kept, as one tuple, and the hit and miss
+    counts of the calls that looked it up."""
 
-    def __init__(self, build):
-        self.build = build
+    def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self.last, self.hits, self.misses = (None, None), 0, 0
+        self.last, self.hits, self.misses = None, 0, 0
+
+
+class _Memo(_Slot):
+    """One-slot memo of a table builder keyed by bytes: equal bytes (a memcmp,
+    not a hash) reuse the last table, kept with its key."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
 
     def __call__(self, *key: bytes):
-        last_key, table = self.last
-        if key == last_key:
+        if self.last is not None and key == self.last[0]:
             self.hits += 1
         else:
-            table = self.build(*key)
-            self.last = key, table
+            self.last = key, self.build(*key)
             self.misses += 1
-        return table
+        return self.last[1]
 
 
 @dataclass(frozen=True)
@@ -198,11 +212,9 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
                      cumprobs=cumprobs, ranks=ranks)
 
 
-def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
-    """Exact minimizer of the leader's objective on the segment table t: the
-    greedy fill above the closed-form floor of the module docstring.  Equal
-    weights fill in popularity order, ties in index order, so q is
-    non-increasing in it."""
+def _floor(t: _Segments, alpha: float, cache: float) -> tuple[float, int]:
+    """The closed-form floor mu of the module docstring on the segment table
+    t, and the number of heavy segments, a prefix of the sorted order."""
     n, s = t.ranks.size, len(t.c)
     c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
     x_a = (0.0 if alpha == 0.0 else math.inf if alpha == 1.0 else
@@ -220,25 +232,72 @@ def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
               else lo[k] if used >= cache else math.inf)
         if mu <= hi[k]:
             break
-    heavy = sum(count)
+    return mu, sum(count)
+
+
+def _fill(t: _Segments, mu: float, heavy: int, cache: float) -> tuple[np.ndarray, int]:
+    """The greedy fill of the budget M - N mu over the first `heavy` sorted
+    segments, above mu, and the number of segments it fills.  Equal weights
+    fill in popularity order, ties in index order, so q is non-increasing in
+    it."""
+    n = t.ranks.size
     budget = cache - n * mu
-    # the sorted segments' lengths above mu, after a leading 0.0 (level s)
-    length = np.array([max(h - max(l, mu), 0.0) for l, h in zip(lo, hi)]
-                      + [0.0])[t.segment[:heavy + 1]]
-    start = length[:-1].cumsum()                  # 0.0, then the running sums
+    # each level's length above mu, then a 0.0 for level s, which leads the
+    # sorted segments
+    level_length = np.array([max(h - max(l, mu), 0.0) for l, h in zip(t.lo, t.hi)]
+                            + [0.0])
     # the fill ends at the first segment that starts at or past the budget
-    # (at once if M - N*mu came out as -eps); the rest would add 0.0
-    cut = start.searchsorted(budget)
+    # (at once if M - N*mu came out as -eps); the rest would add 0.0.  cumsum
+    # adds in order, so a window's running sums are the first ones of the
+    # whole heavy prefix, bit for bit, and the window doubles only while
+    # every segment in it starts below the budget
+    size = min(heavy, n)
+    while True:
+        length = level_length[t.segment[:size + 1]]
+        start = length[:-1].cumsum()              # 0.0, then the running sums
+        cut = int(start.searchsorted(budget))
+        if cut < size or size == heavy:
+            break
+        size = min(2 * size, heavy)
     fill = np.minimum(budget - start[:cut], length[1:cut + 1])
-    return mu + np.bincount(t.owner[:cut], weights=fill, minlength=n)
+    return mu + np.bincount(t.owner[:cut], weights=fill, minlength=n), cut
+
+
+def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
+    """Exact minimizer of the leader's objective on the segment table t: the
+    greedy fill above the closed-form floor of the module docstring."""
+    return _fill(t, *_floor(t, alpha, cache), cache)[0]
+
+
+# the last solve of equilibrium_placement: ((table, popularity, coverage),
+# (M, mu), heavy, cut, (placement, j_star, rates))
+_last_solve = _Slot()
 
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     """Leader's equilibrium placement: the exact optimum with the least floor."""
     t = _segments(cfg.popularity.probs.tobytes(), cfg.coverage.gamma.tobytes())
-    q = _greedy_placement(t, cfg.alpha, cfg.cache_size)
-    placement = Placement(q=q, cache_size=cfg.cache_size)
-    j_star, rates = _rate(placement, cfg)
+    inputs, cache = (t, cfg.popularity, cfg.coverage), cfg.cache_size
+    mu, heavy = _floor(t, cfg.alpha, cache)
+    last = _last_solve.last
+    # The reuse is exact.  _fill sees alpha only through (mu, heavy), and mu
+    # is never NaN or -0.0, so == compares its bits.  The running sums are
+    # sequential, so they do not depend on the length of the heavy prefix:
+    # two prefixes that both reach past the last cut stop at that same cut
+    # and fill alike.  j_star and both rates read only q, the popularity and
+    # the coverage, so only their alpha mix changes.
+    if (last is not None and all(map(operator.is_, inputs, last[0]))
+            and (cache, mu) == last[1]
+            and (heavy == last[2] or last[3] < min(heavy, last[2]))):
+        _last_solve.hits += 1
+        placement, j_star, rates = last[4]
+        rates = total_rate(cfg.alpha, rates.r_legit, rates.r_adv)
+    else:
+        q, cut = _fill(t, mu, heavy, cache)
+        placement = Placement(q=q, cache_size=cache)
+        j_star, rates = _rate(placement, cfg)
+        _last_solve.last = inputs, (cache, mu), heavy, cut, (placement, j_star, rates)
+        _last_solve.misses += 1
     return EquilibriumResult(q_star=placement, j_star=j_star, rates=rates,
                              solver_status="optimal")
 

@@ -15,7 +15,7 @@ import pytest
 from greedy_oracle import greedy_placement
 from lp_oracle import lp_equilibrium
 import cachegame
-from cachegame import game, geometry, rate, simulator
+from cachegame import cli, game, geometry, rate, simulator
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
                        PopularityDist, adversary_rate, best_response,
                        detect_thresholds, equilibrium_placement, evaluate,
@@ -422,13 +422,24 @@ class TestGreedyOracle:
         return [make_config(alpha, probs, GAMMA_R45, 2000.0)
                 for alpha in (0.0, 0.1, 0.5)]
 
+    @staticmethod
+    def window_configs():
+        # at alpha = 0 the fill cuts 190 of 200 and 700 of 800 heavy
+        # segments, so its window of N segments doubles twice
+        return [make_config(0.0, zipf_popularity(n, 0.7).probs, GAMMA_R45, cache)
+                for n, cache in ((50, 45.0), (200, 150.0))]
+
+    @classmethod
+    def cases(cls, source):
+        return {"random": cls.random_configs, "tie_heavy": tie_heavy_configs,
+                "tiny_alpha": lambda: [tiny_alpha_config()],
+                "fused_sum": cls.fused_sum_configs, "large": cls.large_configs,
+                "window": cls.window_configs}[source]()
+
     @pytest.mark.parametrize("source", ["random", "tie_heavy", "tiny_alpha", "fused_sum",
-                                        "large"])
+                                        "large", "window"])
     def test_bit_identical(self, source):
-        cases = {"random": self.random_configs, "tie_heavy": tie_heavy_configs,
-                 "tiny_alpha": lambda: [tiny_alpha_config()],
-                 "fused_sum": self.fused_sum_configs,
-                 "large": self.large_configs}[source]()
+        cases = self.cases(source)
         for k, cfg in enumerate(cases):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs.tobytes(), gamma.tobytes())
@@ -447,6 +458,86 @@ class TestGreedyOracle:
                                kind="stable")
             assert np.array_equal(t.owner, by_popularity[order // s])
             assert np.array_equal(t.segment, np.append(s, order % s))
+
+    def test_the_window_grows_past_n(self):
+        for cfg in self.window_configs():
+            t = game._segments(cfg.popularity.probs.tobytes(), cfg.coverage.gamma.tobytes())
+            mu, heavy = game._floor(t, cfg.alpha, cfg.cache_size)
+            cut = game._fill(t, mu, heavy, cfg.cache_size)[1]
+            assert 2 * cfg.library.num_files < cut < heavy
+
+
+class TestSolveSlot:
+    """equilibrium_placement reuses its last solve when the floor repeats."""
+
+    @staticmethod
+    def alphas(points):
+        # pieces many points wide, and points next to a piece's end
+        return np.concatenate((np.linspace(0.0, 1.0, points), [1e-20, 0.5 + 1e-12, 1 - 1e-9]))
+
+    @staticmethod
+    def cold(cfg):
+        game._last_solve.clear()
+        return equilibrium_placement(cfg)
+
+    @staticmethod
+    def bits(res):
+        return res.q_star.q.tobytes(), res.j_star, res.rates
+
+    @pytest.mark.parametrize("source", ["random", "tie_heavy", "tiny_alpha", "fused_sum"])
+    def test_a_hit_equals_a_cold_solve(self, source):
+        rng = np.random.default_rng(19)
+        hits = 0
+        # 21 points keep the 400 random configs to about 30 000 solves
+        alphas = self.alphas(21 if source == "random" else 81)
+        for k, cfg in enumerate(TestGreedyOracle.cases(source)):
+            grid = np.append(alphas, cfg.alpha)
+            game._last_solve.clear()
+            warm = [(a, equilibrium_placement(cfg.with_alpha(float(a))))
+                    for order in (np.sort(grid), rng.permutation(grid)) for a in order]
+            hits += game._last_solve.hits
+            cold = {a: self.bits(self.cold(cfg.with_alpha(float(a)))) for a in grid}
+            assert all(self.bits(res) == cold[a] for a, res in warm), (source, k)
+        assert hits > 0
+
+    def test_a_cache_sweep_hit_equals_a_cold_solve(self):
+        base = reference_config()
+        # dataclasses.replace shares the popularity and the coverage, as
+        # sweep-cache does; shuffled, consecutive caches differ and miss
+        configs = [dataclasses.replace(base, alpha=float(a), cache_size=cache)
+                   for cache in (5.0, 20.0, 150.0) for a in self.alphas(81)]
+        configs += [configs[i] for i in np.random.default_rng(19).permutation(len(configs))]
+        game._last_solve.clear()
+        warm = [self.bits(equilibrium_placement(cfg)) for cfg in configs]
+        assert game._last_solve.hits > 0
+        assert warm == [self.bits(self.cold(cfg)) for cfg in configs]
+
+    def test_hits_on_the_default_sweep(self):
+        game._last_solve.clear()
+        sweep_equilibria(reference_config(), cli.parse_grid("0:1:0.01"))
+        assert (game._last_solve.hits, game._last_solve.misses) == (47, 54)
+
+    def test_hits_on_the_n2000_sweep(self):
+        cfg = make_config(0.0, zipf_popularity(2000, 0.7).probs, GAMMA_R45, 200.0)
+        game._last_solve.clear()
+        sweep_equilibria(cfg, [round(0.05 * k, 12) for k in range(21)])
+        assert (game._last_solve.hits, game._last_solve.misses) == (5, 16)
+
+    def test_only_the_same_objects_hit(self, monkeypatch):
+        calls = []
+        for name in ("legit_rate", "adversary_rate"):
+            monkeypatch.setattr(game, name, lambda *args, func=getattr(game, name), name=name:
+                                calls.append(name) or func(*args))
+        cfg = reference_config()
+        equilibrium_placement(cfg)
+        calls.clear()
+        hits, misses = game._last_solve.hits, game._last_solve.misses
+        equilibrium_placement(cfg.with_alpha(0.0))
+        assert (game._last_solve.hits, calls) == (hits + 1, [])
+        # equal bytes in fresh objects miss, and the rates are computed again
+        equilibrium_placement(reference_config())
+        assert game._last_solve.misses == misses + 1
+        assert sorted(calls) == ["adversary_rate", "legit_rate"]
 
 
 class TestNoAdversaryPlacement:
