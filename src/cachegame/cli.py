@@ -178,7 +178,7 @@ def cmd_thresholds(cfg: dict, args):
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
     q_ref = game.no_adversary_placement(gcfg).q
-    uniform = Placement.uniform(gcfg.library.num_files, gcfg.cache_size).q[0]
+    uniform = min(gcfg.cache_size / gcfg.library.num_files, 1.0)
     columns = _threshold_columns(np.array([res.q_star.q for res in results]),
                                  q_ref, uniform)
     r_total = [res.rates.r_total for res in results]

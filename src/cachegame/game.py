@@ -40,7 +40,14 @@ Allocation Problems, 1988):
   x_a > p_max: nothing above mu is heavy, q* is uniform.
 - Cost per solve.  The segment table of one (popularity, coverage) pair
   is memoised in one slot that a call with equal input bytes reuses, and
-  the greedy reads nothing else.  The floor loop runs on Python numbers
+  the greedy reads nothing else.  The water level is read off the table's
+  steps g_m = m p_(m+1) - P_m (p ascending), which never decrease, so
+  (a/(1-a) + P_m) / m is least at the first m with g_m >= a/(1-a): one
+  bisection, then a walk outwards over a few values on Python floats,
+  which ends on each side once a value exceeds the least one by the
+  rounding bound of a float prefix sum, gives the bits of the minimum over
+  all N values; a walk that runs long, as on tied popularities at a tiny
+  alpha, takes that minimum.  The floor loop runs on Python numbers
   and bisects a level's column only on the levels it visits: S bisections
   of about log2 N steps per level.  The length the heavy segments fill is
   summed exactly, in integers over one power-of-two denominator, and
@@ -48,14 +55,16 @@ Allocation Problems, 1988):
   fill ends at the budget: only the segments that start below it are
   filled and summed per file, and the running sums cover a window of N
   segments, doubled while the budget lies past its end.  So a solve makes
-  a fixed few numpy calls, whatever N is.  q*(alpha) is piecewise constant,
-  so a second slot keeps the last solve, and a call that lands on its piece
-  reuses its fill, placement, best response and rates, and mixes only the
-  rates by its own alpha.  It must read the same table and the same
-  popularity and coverage objects (with_alpha and dataclasses.replace share
-  them, so a sweep hits; a config built afresh never does), an equal M and
-  a floor with the same bits, and its heavy count must be the slot's or
-  both must reach past the segments the slot filled.
+  a fixed few numpy calls, whatever N is, and the floor none unless its
+  walk runs long.  q*(alpha) is piecewise constant, so a second slot keeps
+  the last solve and the last one at alpha = 0, the no-adversary optimum,
+  and a call that lands on the piece of either reuses its fill, placement,
+  best response and rates, and mixes only the rates by its own alpha.  It
+  must read the same table and the same popularity and coverage objects
+  (with_alpha and dataclasses.replace share them, so a sweep hits; a
+  config built afresh never does), an equal M and a floor with the same
+  bits, and its heavy count must be the entry's or both must reach past
+  the segments the entry filled.
 """
 
 from __future__ import annotations
@@ -72,6 +81,9 @@ from .rate import adversary_rate, legit_rate, total_rate
 
 # infinity-norm distance at which detect_thresholds calls two placements apart
 DISTANCE_TOL = 1e-3
+# the values within rounding of the least one that the water level's walk
+# may pass before it takes the minimum over all N values
+_WALK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,8 @@ class _Segments:
     level of length 0 that starts the running sums.  columns views the
     negated weights -p_j c_l level by level, each level's N in popularity
     order, so ascending within a level.  cumprobs[m - 1] = P_m, the sum of
-    the m smallest probabilities, and ranks[m - 1] = m.
+    the m smallest probabilities, and ranks[m - 1] = m.  steps views the
+    water-level steps g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
     """
 
     c: tuple[float, ...]
@@ -168,6 +181,7 @@ class _Segments:
     columns: memoryview
     cumprobs: np.ndarray
     ranks: np.ndarray
+    steps: memoryview
 
 
 @_Memo
@@ -187,7 +201,8 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
     # by level; re-sorting each tie by file, then level, gives the order of
     # one stable sort over the weights laid out file by file
     order = np.argsort(columns, kind="stable")
-    level, position = np.divmod(order, n)
+    level = order // n
+    position = order - level * n
     weights = columns[order]
     tied = weights[1:] == weights[:-1]
     if tied.any():
@@ -197,9 +212,11 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
     owner = by_popularity[position]
     segment = np.concatenate(([s], level))
     # the ascending probabilities, so the sums of np.sort(probs) bit for bit
-    cumprobs = descending[::-1].cumsum()
+    ascending = descending[::-1]
+    cumprobs = ascending.cumsum()
     ranks = np.arange(1.0, n + 1)
-    for array in (columns, owner, segment, cumprobs, ranks):
+    steps = ranks[:-1] * ascending[1:] - cumprobs[:-1]
+    for array in (columns, owner, segment, cumprobs, ranks, steps):
         array.setflags(write=False)
     # every float is an integer over a power of two, so the largest
     # denominator is a multiple of all the others
@@ -209,7 +226,45 @@ def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
     return _Segments(c=tuple(c.tolist()), lo=tuple(lo), hi=tuple(hi),
                      hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
                      owner=owner, segment=segment, columns=memoryview(columns),
-                     cumprobs=cumprobs, ranks=ranks)
+                     cumprobs=cumprobs, ranks=ranks, steps=memoryview(steps))
+
+
+def _water_level(t: _Segments, alpha: float) -> float:
+    """x_a = min_m (a/(1-a) + P_m) / m on the segment table t, with the bits
+    of the numpy minimum over all N values."""
+    if alpha == 0.0:
+        return 0.0
+    if alpha == 1.0:
+        return math.inf
+    a = alpha / (1.0 - alpha)
+    cumprobs = t.cumprobs.data
+    n = len(cumprobs)
+    # In exact arithmetic (a + P_m) / m falls while g_m < a and never falls
+    # after, so it is least at the first m with g_m >= a.  Each computed
+    # value is within a relative (N + 2) 2^-53 of its exact one (the prefix
+    # sum, the add and the divide), so a value that exceeds the least one
+    # seen by `slack`, three times that, lies past the exact minimum, and no
+    # value beyond it is less: the walk outwards from the bisection stops
+    # there on each side.  Index i holds rank m = i + 1.
+    slack = 3 * (n + 2) * 2.0**-53
+    start = bisect.bisect_left(t.steps, a)
+    best = (a + cumprobs[start]) / (start + 1)
+    limit, reads = best * (1.0 + slack), _WALK_STEPS
+    for step in (1, -1):
+        i = start + step
+        while 0 <= i < n and reads:
+            value = (a + cumprobs[i]) / (i + 1)
+            if value > limit:
+                break
+            if value < best:
+                best, limit = value, value * (1.0 + slack)
+            i, reads = i + step, reads - 1
+    # a value within rounding of its neighbours the whole walk long (tied
+    # popularities at a tiny alpha), or one too small for relative rounding
+    # bounds, takes the minimum over all N values
+    if not reads or best < 2.0**-1000:
+        return float(np.min((a + t.cumprobs) / t.ranks))
+    return best
 
 
 def _floor(t: _Segments, alpha: float, cache: float) -> tuple[float, int]:
@@ -217,8 +272,7 @@ def _floor(t: _Segments, alpha: float, cache: float) -> tuple[float, int]:
     t, and the number of heavy segments, a prefix of the sorted order."""
     n, s = t.ranks.size, len(t.c)
     c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
-    x_a = (0.0 if alpha == 0.0 else math.inf if alpha == 1.0 else
-           float(np.min((alpha / (1.0 - alpha) + t.cumprobs) / t.ranks)))
+    x_a = _water_level(t, alpha)
     for k in range(s):                            # levels, increasing q
         # level-l segments weighing >= c_k x_a, all of them if c_k = 0
         bound = -(c[k] * x_a) if c[k] > 0 else -0.0
@@ -269,9 +323,18 @@ def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
     return _fill(t, *_floor(t, alpha, cache), cache)[0]
 
 
-# the last solve of equilibrium_placement: ((table, popularity, coverage),
-# (M, mu), heavy, cut, (placement, j_star, rates))
-_last_solve = _Slot()
+class _Solves(_Slot):
+    """The solve slot: the last solve, and as `noadv` the last solve at
+    alpha = 0, the no-adversary optimum that a sweep's thresholds ask for
+    again.  Each is ((table, popularity, coverage), (M, mu), heavy, cut,
+    (placement, j_star, rates))."""
+
+    def clear(self) -> None:
+        super().clear()
+        self.noadv = None
+
+
+_last_solve = _Solves()
 
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
@@ -279,24 +342,27 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     t = _segments(cfg.popularity.probs.tobytes(), cfg.coverage.gamma.tobytes())
     inputs, cache = (t, cfg.popularity, cfg.coverage), cfg.cache_size
     mu, heavy = _floor(t, cfg.alpha, cache)
-    last = _last_solve.last
     # The reuse is exact.  _fill sees alpha only through (mu, heavy), and mu
     # is never NaN or -0.0, so == compares its bits.  The running sums are
     # sequential, so they do not depend on the length of the heavy prefix:
-    # two prefixes that both reach past the last cut stop at that same cut
+    # two prefixes that both reach past an entry's cut stop at that same cut
     # and fill alike.  j_star and both rates read only q, the popularity and
     # the coverage, so only their alpha mix changes.
-    if (last is not None and all(map(operator.is_, inputs, last[0]))
-            and (cache, mu) == last[1]
-            and (heavy == last[2] or last[3] < min(heavy, last[2]))):
-        _last_solve.hits += 1
-        placement, j_star, rates = last[4]
-        rates = total_rate(cfg.alpha, rates.r_legit, rates.r_adv)
+    for entry in (_last_solve.last, _last_solve.noadv):
+        if (entry is not None and all(map(operator.is_, inputs, entry[0]))
+                and (cache, mu) == entry[1]
+                and (heavy == entry[2] or entry[3] < min(heavy, entry[2]))):
+            _last_solve.hits += 1
+            placement, j_star, rates = entry[4]
+            rates = total_rate(cfg.alpha, rates.r_legit, rates.r_adv)
+            break
     else:
         q, cut = _fill(t, mu, heavy, cache)
         placement = Placement(q=q, cache_size=cache)
         j_star, rates = _rate(placement, cfg)
         _last_solve.last = inputs, (cache, mu), heavy, cut, (placement, j_star, rates)
+        if cfg.alpha == 0.0:
+            _last_solve.noadv = _last_solve.last
         _last_solve.misses += 1
     return EquilibriumResult(q_star=placement, j_star=j_star, rates=rates,
                              solver_status="optimal")
@@ -363,7 +429,7 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
         raise ValueError("results do not match the alpha grid")
     dist_noadv, dist_uniform = _distances(
         np.array([res.q_star.q for res in results]), no_adversary_placement(cfg).q,
-        Placement.uniform(cfg.library.num_files, cfg.cache_size).q[0])
+        min(cfg.cache_size / cfg.library.num_files, 1.0))
     branched = np.flatnonzero(dist_noadv > DISTANCE_TOL)
     gathered = np.flatnonzero(dist_uniform <= DISTANCE_TOL)
     return ThresholdResult(

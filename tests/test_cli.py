@@ -264,6 +264,15 @@ class TestThresholds:
         assert calls["equilibrium_placement"] == 5
         assert calls["no_adversary_placement"] == 2
 
+    def test_three_points_rate_three_placements(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(game, "legit_rate", lambda *args, func=game.legit_rate:
+                            calls.append(1) or func(*args))
+        assert main(["thresholds", "--alpha-grid", "0,0.5,1",
+                     "--out", str(tmp_path / "thr.csv")]) == 0
+        # both no-adversary solves reuse the grid's alpha = 0 solve
+        assert len(calls) == 3
+
     def test_one_point_grid_has_no_thresholds(self, config_path, tmp_path, capsys):
         assert main(["thresholds", "--config", str(config_path), "--out",
                      str(tmp_path / "thr.csv"), "--samples", "10000",

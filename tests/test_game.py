@@ -368,6 +368,94 @@ class TestSegmentTable:
         assert (game._segments.hits, game._segments.misses) == (1, 2)
 
 
+class TestWaterLevel:
+    """The water level read off the steps column has the bits of the minimum
+    over all N values."""
+
+    @staticmethod
+    def full_minimum(t, alpha):
+        return float(np.min((alpha / (1.0 - alpha) + t.cumprobs) / t.ranks))
+
+    @staticmethod
+    def random_tables():
+        rng = np.random.default_rng(2020)
+        for k in range(300):
+            n = int(rng.choice([1, 2, 3, 10, 200, 2000, 20_000]))
+            kind = k % 5
+            if kind == 0:
+                probs = zipf_popularity(n, float(rng.uniform(0.0, 2.0))).probs
+            elif kind == 1:
+                probs = rng.dirichlet(np.ones(n) * rng.uniform(0.05, 3.0))
+            elif kind == 2:
+                # three popularity values, many ties
+                weights = rng.choice([1.0, 2.0, 5.0], n)
+                probs = weights / weights.sum()
+            elif kind == 3:
+                probs = np.full(n, 1.0 / n)
+            else:
+                # heavy-tailed, some popularities zero
+                weights = np.floor(rng.pareto(0.5, n))
+                weights[0] += 1.0
+                probs = weights / weights.sum()
+            alphas = np.concatenate((rng.random(8), 10.0 ** -rng.uniform(0, 300, 4),
+                                     1.0 - 10.0 ** -rng.uniform(0, 16, 3)))
+            yield probs, alphas
+
+    @staticmethod
+    def adversarial_tables():
+        tiny = [1e-300, 1e-20, 1e-12, 1 - 1e-16, 0.5]
+        yield np.full(2000, 1 / 2000), tiny
+        yield np.repeat([3.0, 1.0], [700, 1300]) / 3400, tiny
+        yield np.array([1.0]), tiny
+        yield np.array([0.5, 0.5]), tiny
+        yield np.array([0.75, 0.25]), tiny
+        yield np.array([1.0, 0.0]), [5e-324, *tiny]
+
+    @pytest.mark.parametrize("walk", ["default", "unbounded"])
+    @pytest.mark.parametrize("source", ["random", "adversarial"])
+    def test_bits_of_the_full_minimum(self, source, walk, monkeypatch):
+        if walk == "unbounded":
+            # the walk's stopping rule alone, without its fallback on length
+            monkeypatch.setattr(game, "_WALK_STEPS", 10**9)
+        tables = self.random_tables() if source == "random" else self.adversarial_tables()
+        for probs, alphas in tables:
+            t = game._segments(probs.tobytes(), GAMMA_R45.tobytes())
+            for alpha in map(float, alphas):
+                assert game._water_level(t, alpha) == self.full_minimum(t, alpha), \
+                    (probs.size, alpha)
+
+    @pytest.fixture
+    def full_minima(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np, "min", lambda *args, func=np.min, **kwargs:
+                            calls.append(1) or func(*args, **kwargs))
+        return calls
+
+    def test_ties_at_a_tiny_alpha_take_the_full_minimum(self, full_minima):
+        # every value lies within rounding of its neighbours
+        for probs in (np.full(2000, 1 / 2000), np.repeat([3.0, 1.0], [700, 1300]) / 3400):
+            t = game._segments(probs.tobytes(), GAMMA_R45.tobytes())
+            full_minima.clear()
+            game._water_level(t, 1e-300)
+            assert full_minima == [1]
+
+    def test_a_subnormal_level_takes_the_full_minimum(self, full_minima):
+        # x_a = a/(1-a) = 5e-324 at the zero popularity, below the range
+        # where each value is within a relative rounding bound
+        t = game._segments(np.array([1.0, 0.0]).tobytes(), GAMMA_R45.tobytes())
+        assert game._water_level(t, 5e-324) == 5e-324
+        assert full_minima == [1]
+
+    def test_a_zipf_sweep_never_takes_the_full_minimum(self, full_minima):
+        probs = zipf_popularity(2000, 0.7).probs
+        t = game._segments(probs.tobytes(), GAMMA_R45.tobytes())
+        for alpha in np.linspace(0.0, 1.0, 1001):
+            game._water_level(t, float(alpha))
+        sweep_equilibria(make_config(0.0, probs, GAMMA_R45, 200.0),
+                         [round(0.05 * k, 12) for k in range(21)])
+        assert full_minima == []
+
+
 class TestGreedyOracle:
     """The greedy returns the bits of the vectorised greedy it replaced."""
 
@@ -522,6 +610,25 @@ class TestSolveSlot:
         game._last_solve.clear()
         sweep_equilibria(cfg, [round(0.05 * k, 12) for k in range(21)])
         assert (game._last_solve.hits, game._last_solve.misses) == (5, 16)
+
+    def test_the_no_adversary_solve_is_kept(self):
+        cfg = reference_config()
+        game._last_solve.clear()
+        results = sweep_equilibria(cfg, np.linspace(0.0, 1.0, 11))
+        hits, misses = game._last_solve.hits, game._last_solve.misses
+        # the last solve is alpha = 1; alpha = 0 hits the second entry
+        repeat = no_adversary_placement(cfg)
+        assert (game._last_solve.hits, game._last_solve.misses) == (hits + 1, misses)
+        assert repeat is results[0].q_star
+        assert repeat.q.tobytes() == self.cold(cfg).q_star.q.tobytes()
+
+    def test_clear_empties_both_entries(self):
+        cfg = reference_config()
+        sweep_equilibria(cfg, [0.0, 1.0])
+        game._last_solve.clear()
+        assert (game._last_solve.last, game._last_solve.noadv) == (None, None)
+        equilibrium_placement(cfg)
+        assert (game._last_solve.hits, game._last_solve.misses) == (0, 1)
 
     def test_only_the_same_objects_hit(self, monkeypatch):
         calls = []
