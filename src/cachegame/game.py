@@ -15,10 +15,10 @@ Allocation Problems, 1988):
   j weighs w_jk = p_j c_k.  All S*N segments are sorted once by weight,
   descending and stable, with the files laid out by popularity (ties in
   index order) and each file's segments in increasing q; the order depends
-  on neither alpha, mu nor M, so it is built once per (popularity, coverage)
-  pair and reused by every solve of a sweep.  So a more popular file never
-  holds less than a less popular one: the equilibrium is ordered by
-  popularity, with ties in index order.
+  on neither alpha, mu nor M, so it is built once per pair of popularity
+  and coverage objects and reused by every solve of a sweep.  So a more
+  popular file never holds less than a less popular one: the equilibrium
+  is ordered by popularity, with ties in index order.
 - Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
   V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
   max(M - N mu, 0) over the parts of the segments that lie above mu.
@@ -38,15 +38,15 @@ Allocation Problems, 1988):
   weights p_j c_l of one level l fall with popularity, so one binary search
   per level counts its heavy segments.  Past a = 1 - 1/(N p_max),
   x_a > p_max: nothing above mu is heavy, q* is uniform.
-- Cost per solve.  The segment table of one (popularity, coverage) pair
-  is memoised in one slot that a call with equal input bytes reuses, and
-  the greedy reads nothing else.  The water level is read off the table's
-  steps g_m = m p_(m+1) - P_m (p ascending), which never decrease, so
-  (a/(1-a) + P_m) / m is least at the first m with g_m >= a/(1-a): one
-  bisection, then a walk outwards over a few values on Python floats,
-  which ends on each side once a value exceeds the least one by the
-  rounding bound of a float prefix sum, gives the bits of the minimum over
-  all N values; a walk that runs long, as on tied popularities at a tiny
+- Cost per solve.  The module keeps one slot, keyed by the popularity
+  and coverage objects themselves (compared with `is`): it holds their
+  segment table, and the greedy reads nothing else.  The water level is
+  read off the table's steps g_m = m p_(m+1) - P_m (p ascending), which
+  never decrease, so (a/(1-a) + P_m) / m is least at the first m with
+  g_m >= a/(1-a): one bisection, then a walk outwards over a few values on
+  Python floats, which ends on each side once a value exceeds the least
+  one by the rounding bound of a float prefix sum, gives the bits of the
+  minimum over all N values; a walk that runs long, as on tied popularities at a tiny
   alpha, takes that minimum.  The floor loop runs on Python numbers
   and bisects a level's column only on the levels it visits: S bisections
   of about log2 N steps per level.  The length the heavy segments fill is
@@ -56,15 +56,17 @@ Allocation Problems, 1988):
   filled and summed per file, and the running sums cover a window of N
   segments, doubled while the budget lies past its end.  So a solve makes
   a fixed few numpy calls, whatever N is, and the floor none unless its
-  walk runs long.  q*(alpha) is piecewise constant, so a second slot keeps
+  walk runs long.  q*(alpha) is piecewise constant, so the slot also keeps
   the last solve and the last one at alpha = 0, the no-adversary optimum,
-  and a call that lands on the piece of either reuses its fill, placement,
-  best response and rates, and mixes only the rates by its own alpha.  It
-  must read the same table and the same popularity and coverage objects
-  (with_alpha and dataclasses.replace share them, so a sweep hits; a
-  config built afresh never does), an equal M and a floor with the same
+  on those objects, and a call that lands on the piece of either reuses
+  its fill, placement, best response and rates, and mixes only the rates
+  by its own alpha.  It must have an equal M and a floor with the same
   bits, and its heavy count must be the entry's or both must reach past
-  the segments the entry filled.
+  the segments the entry filled.  with_alpha and dataclasses.replace share
+  the objects, so an alpha or cache sweep hits; a replaced coverage, or a
+  config built afresh from equal vectors, builds its own table.  The slot
+  is one immutable record that a solve reads once and a miss replaces
+  whole, so solves in several threads never mix two configs.
 """
 
 from __future__ import annotations
@@ -127,34 +129,6 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     return _rate(placement, cfg)[1]
 
 
-class _Slot:
-    """One slot: the last entry kept, as one tuple, and the hit and miss
-    counts of the calls that looked it up."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.last, self.hits, self.misses = None, 0, 0
-
-
-class _Memo(_Slot):
-    """One-slot memo of a table builder keyed by bytes: equal bytes (a memcmp,
-    not a hash) reuse the last table, kept with its key."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __call__(self, *key: bytes):
-        if self.last is not None and key == self.last[0]:
-            self.hits += 1
-        else:
-            self.last = key, self.build(*key)
-            self.misses += 1
-        return self.last[1]
-
-
 @dataclass(frozen=True)
 class _Segments:
     """The segment table of one (popularity, coverage) pair.
@@ -184,11 +158,9 @@ class _Segments:
     steps: memoryview
 
 
-@_Memo
-def _segments(probs_bytes: bytes, gamma_bytes: bytes) -> _Segments:
-    """The segment table of the module docstring, keyed by the bytes of the
-    float64 popularity and coverage vectors; it depends on nothing else."""
-    probs, gamma = np.frombuffer(probs_bytes), np.frombuffer(gamma_bytes)
+def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
+    """The segment table of the module docstring for the float64 popularity
+    and coverage vectors; it depends on nothing else."""
     s, n = gamma.size, probs.size
     # files most popular first, ties in index order
     by_popularity = np.argsort(-probs, kind="stable")
@@ -323,24 +295,37 @@ def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
     return _fill(t, *_floor(t, alpha, cache), cache)[0]
 
 
-class _Solves(_Slot):
-    """The solve slot: the last solve, and as `noadv` the last solve at
-    alpha = 0, the no-adversary optimum that a sweep's thresholds ask for
-    again.  Each is ((table, popularity, coverage), (M, mu), heavy, cut,
-    (placement, j_star, rates))."""
+class _Cache:
+    """The module's one cache.  `record` is None or the tuple (popularity,
+    coverage, table, last, noadv): the popularity and coverage objects of
+    the last solve, their segment table, the last solve and, as `noadv`,
+    the last solve at alpha = 0 on them, the no-adversary optimum that a
+    sweep's thresholds ask for again.  Each solve is (M, mu, heavy, cut,
+    placement, j_star, rates), or None.  `hits` and `misses` count the
+    solves that reused one and those that did not."""
+
+    def __init__(self):
+        self.clear()
 
     def clear(self) -> None:
-        super().clear()
-        self.noadv = None
+        self.record, self.hits, self.misses = None, 0, 0
 
 
-_last_solve = _Solves()
+_last_solve = _Cache()
 
 
 def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     """Leader's equilibrium placement: the exact optimum with the least floor."""
-    t = _segments(cfg.popularity.probs.tobytes(), cfg.coverage.gamma.tobytes())
-    inputs, cache = (t, cfg.popularity, cfg.coverage), cfg.cache_size
+    popularity, coverage, cache = cfg.popularity, cfg.coverage, cfg.cache_size
+    # Read once and replaced whole, so a solve never pairs one config's
+    # table with another's solves, whatever other threads store meanwhile.
+    # The record holds both objects, so their ids are never reused, and
+    # each copies its vector read-only, so `is` implies equal vectors.
+    record = _last_solve.record
+    if record is None or record[0] is not popularity or record[1] is not coverage:
+        table = _segments(popularity.probs, coverage.gamma)
+        record = popularity, coverage, table, None, None
+    t = record[2]
     mu, heavy = _floor(t, cfg.alpha, cache)
     # The reuse is exact.  _fill sees alpha only through (mu, heavy), and mu
     # is never NaN or -0.0, so == compares its bits.  The running sums are
@@ -348,21 +333,20 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     # two prefixes that both reach past an entry's cut stop at that same cut
     # and fill alike.  j_star and both rates read only q, the popularity and
     # the coverage, so only their alpha mix changes.
-    for entry in (_last_solve.last, _last_solve.noadv):
-        if (entry is not None and all(map(operator.is_, inputs, entry[0]))
-                and (cache, mu) == entry[1]
+    for entry in record[3:]:
+        if (entry is not None and (cache, mu) == entry[:2]
                 and (heavy == entry[2] or entry[3] < min(heavy, entry[2]))):
             _last_solve.hits += 1
-            placement, j_star, rates = entry[4]
+            placement, j_star, rates = entry[4:]
             rates = total_rate(cfg.alpha, rates.r_legit, rates.r_adv)
             break
     else:
         q, cut = _fill(t, mu, heavy, cache)
         placement = Placement(q=q, cache_size=cache)
         j_star, rates = _rate(placement, cfg)
-        _last_solve.last = inputs, (cache, mu), heavy, cut, (placement, j_star, rates)
-        if cfg.alpha == 0.0:
-            _last_solve.noadv = _last_solve.last
+        entry = cache, mu, heavy, cut, placement, j_star, rates
+        _last_solve.record = (*record[:3], entry,
+                              entry if cfg.alpha == 0.0 else record[4])
         _last_solve.misses += 1
     return EquilibriumResult(q_star=placement, j_star=j_star, rates=rates,
                              solver_status="optimal")
@@ -386,8 +370,10 @@ def worst_case_rate(cfg: GameConfig) -> float:
     With alpha = 1 the leader plays uniformly, q_j = M/N, and the rate is
     sum_d gamma_d max(1 - d M/N, 0).
     """
-    uniform = Placement.uniform(cfg.library.num_files, cfg.cache_size)
-    return adversary_rate(uniform, cfg.coverage, 0)
+    level = min(cfg.cache_size / cfg.library.num_files, 1.0)
+    # every file sits at the level, so one of them gives the rate
+    return adversary_rate(Placement(q=[level], cache_size=cfg.cache_size),
+                          cfg.coverage, 0)
 
 
 def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:

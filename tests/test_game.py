@@ -1,11 +1,15 @@
+import __future__
 import ast
 import dataclasses
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
+import threading
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +46,17 @@ def make_config(alpha, probs, gamma, cache):
 
 def reference_config(alpha=0.0):
     return make_config(alpha, zipf_popularity(200, 0.7).probs, GAMMA_R45, 20.0)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per segment table built from here on, recorded by
+    wrapping game._segments; the solve slot starts empty."""
+    built, build = [], game._segments
+    monkeypatch.setattr(game, "_segments",
+                        lambda probs, gamma: built.append(probs) or build(probs, gamma))
+    game._last_solve.clear()
+    return built
 
 
 def tie_heavy_configs():
@@ -258,6 +273,18 @@ class TestEquilibriumPlacement:
              "import cachegame, sys; assert 'scipy' not in sys.modules"],
             check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
+    def test_one_cache(self):
+        # the solve slot is the only mutable state of the module, and the
+        # config holds no cache: a further one would be a third key to keep
+        constant = (type, types.ModuleType, types.FunctionType, int, float, str, tuple)
+        state = [name for name, value in vars(game).items()
+                 if not name.startswith("__") and value is not __future__.annotations
+                 and not isinstance(value, constant)]
+        assert state == ["_last_solve"]
+        assert set(vars(game._last_solve)) == {"record", "hits", "misses"}
+        assert [f.name for f in dataclasses.fields(GameConfig)] == [
+            "alpha", "library", "popularity", "coverage", "cache_size"]
+
     def test_layering(self):
         path = Path(__file__).resolve().parent.parent / "src" / "cachegame"
 
@@ -303,10 +330,9 @@ class TestEquilibriumPlacement:
 
 
 class TestSegmentTable:
-    def test_one_sort_per_sweep(self):
-        game._segments.clear()
+    def test_one_sort_per_sweep(self, builds):
         sweep_equilibria(reference_config(), np.linspace(0, 1, 21))
-        assert (game._segments.misses, game._segments.hits) == (1, 20)
+        assert len(builds) == 1
 
     def test_alternating_instances_match_cold_solves(self):
         libraries = [zipf_popularity(200, z).probs for z in (0.7, 0.8)]
@@ -319,24 +345,22 @@ class TestSegmentTable:
         warm = [[equilibrium_placement(cfg).q_star.q for _ in range(2)]
                 for cfg in cases]
         for cfg, qs in zip(cases, warm):
-            game._segments.clear()
+            game._last_solve.clear()
             cold = equilibrium_placement(cfg).q_star.q
             assert all(np.array_equal(q, cold) for q in qs)
 
-    def test_radius_sweep_keeps_the_popularity_part(self):
-        game._segments.clear()
-        profiles = [GAMMA_R45, np.array([0.4, 0.3, 0.2, 0.1])]
-        for gamma in profiles * 3:
-            cfg = make_config(0.3, zipf_popularity(200, 0.7).probs, gamma, 20.0)
-            equilibrium_placement(cfg)
+    def test_radius_sweep_keeps_the_popularity_part(self, builds):
+        base = make_config(0.3, zipf_popularity(200, 0.7).probs, GAMMA_R45, 20.0)
+        profiles = [base.coverage, CoverageProfile(gamma=[0.4, 0.3, 0.2, 0.1])]
+        for coverage in profiles * 3:
+            equilibrium_placement(dataclasses.replace(base, coverage=coverage))
         # one popularity under alternating profiles: each change of profile
         # rebuilds the whole table, popularity part included
-        assert game._segments.misses == 6
+        assert len(builds) == 6
 
     def test_arrays_are_read_only(self):
         cfg = reference_config()
-        table = game._segments(cfg.popularity.probs.tobytes(),
-                               cfg.coverage.gamma.tobytes())
+        table = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
         for name, value in vars(table).items():
             # tuples, read-only memoryviews and read-only arrays refuse a write
             with pytest.raises((TypeError, ValueError)):
@@ -346,26 +370,36 @@ class TestSegmentTable:
     def test_exact_ends_and_widths(self):
         for s in range(1, 9):
             gamma = np.full(s, 1.0 / s)
-            t = game._segments(zipf_popularity(5, 0.7).probs.tobytes(), gamma.tobytes())
+            t = game._segments(zipf_popularity(5, 0.7).probs, gamma)
             widths = np.subtract(t.hi, t.lo).tolist()
             # each integer over scale is exactly its float, so the floor's
             # sum has no rounding before its one division
             assert [Fraction(v, t.scale) for v in t.hi_exact] == list(map(Fraction, t.hi))
             assert [Fraction(v, t.scale) for v in t.width_exact] == list(map(Fraction, widths))
 
-    def test_a_hit_needs_equal_bytes(self):
+    def test_a_hit_needs_equal_bytes(self, builds):
+        # equal bytes are not enough: only the same objects reuse the table
         cfg = reference_config()
-        game._segments.clear()
-        equilibrium_placement(cfg)
-        # the same content in fresh arrays hits, one changed bit misses
-        probs = cfg.popularity.probs.copy()
-        equilibrium_placement(dataclasses.replace(
-            cfg, popularity=PopularityDist(probs=probs)))
-        assert (game._segments.hits, game._segments.misses) == (1, 1)
-        probs[[0, 1]] = np.nextafter(probs[0], 1.0), np.nextafter(probs[1], 0.0)
-        equilibrium_placement(dataclasses.replace(
-            cfg, popularity=PopularityDist(probs=probs)))
-        assert (game._segments.hits, game._segments.misses) == (1, 2)
+        first = equilibrium_placement(cfg)
+        equilibrium_placement(cfg.with_alpha(0.5))
+        assert len(builds) == 1
+        fresh = equilibrium_placement(dataclasses.replace(
+            cfg, popularity=PopularityDist(probs=cfg.popularity.probs)))
+        assert len(builds) == 2
+        assert fresh.q_star.q.tobytes() == first.q_star.q.tobytes()
+
+    def test_a_replaced_coverage_gets_its_own_table(self, builds):
+        # sweep-r replaces the coverage and sweep-cache the cache size
+        base = reference_config(0.3)
+        equilibrium_placement(base)
+        equilibrium_placement(dataclasses.replace(base, cache_size=50.0))
+        assert len(builds) == 1
+        gamma = [0.4, 0.3, 0.2, 0.1]
+        warm = equilibrium_placement(dataclasses.replace(
+            base, coverage=CoverageProfile(gamma=gamma)))
+        assert len(builds) == 2
+        cold = equilibrium_placement(make_config(0.3, base.popularity.probs, gamma, 20.0))
+        assert TestSolveSlot.bits(warm) == TestSolveSlot.bits(cold)
 
 
 class TestWaterLevel:
@@ -419,7 +453,7 @@ class TestWaterLevel:
             monkeypatch.setattr(game, "_WALK_STEPS", 10**9)
         tables = self.random_tables() if source == "random" else self.adversarial_tables()
         for probs, alphas in tables:
-            t = game._segments(probs.tobytes(), GAMMA_R45.tobytes())
+            t = game._segments(probs, GAMMA_R45)
             for alpha in map(float, alphas):
                 assert game._water_level(t, alpha) == self.full_minimum(t, alpha), \
                     (probs.size, alpha)
@@ -434,7 +468,7 @@ class TestWaterLevel:
     def test_ties_at_a_tiny_alpha_take_the_full_minimum(self, full_minima):
         # every value lies within rounding of its neighbours
         for probs in (np.full(2000, 1 / 2000), np.repeat([3.0, 1.0], [700, 1300]) / 3400):
-            t = game._segments(probs.tobytes(), GAMMA_R45.tobytes())
+            t = game._segments(probs, GAMMA_R45)
             full_minima.clear()
             game._water_level(t, 1e-300)
             assert full_minima == [1]
@@ -442,13 +476,13 @@ class TestWaterLevel:
     def test_a_subnormal_level_takes_the_full_minimum(self, full_minima):
         # x_a = a/(1-a) = 5e-324 at the zero popularity, below the range
         # where each value is within a relative rounding bound
-        t = game._segments(np.array([1.0, 0.0]).tobytes(), GAMMA_R45.tobytes())
+        t = game._segments(np.array([1.0, 0.0]), GAMMA_R45)
         assert game._water_level(t, 5e-324) == 5e-324
         assert full_minima == [1]
 
     def test_a_zipf_sweep_never_takes_the_full_minimum(self, full_minima):
         probs = zipf_popularity(2000, 0.7).probs
-        t = game._segments(probs.tobytes(), GAMMA_R45.tobytes())
+        t = game._segments(probs, GAMMA_R45)
         for alpha in np.linspace(0.0, 1.0, 1001):
             game._water_level(t, float(alpha))
         sweep_equilibria(make_config(0.0, probs, GAMMA_R45, 200.0),
@@ -530,7 +564,7 @@ class TestGreedyOracle:
         cases = self.cases(source)
         for k, cfg in enumerate(cases):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
-            t = game._segments(probs.tobytes(), gamma.tobytes())
+            t = game._segments(probs, gamma)
             assert np.array_equal(game._greedy_placement(t, cfg.alpha, cfg.cache_size),
                                   greedy_placement(probs, gamma, cfg.alpha,
                                                    cfg.cache_size)), (source, k)
@@ -538,7 +572,7 @@ class TestGreedyOracle:
     def test_segment_order_is_one_stable_sort_by_file(self):
         for cfg in tie_heavy_configs()[::4] + [reference_config()]:
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
-            t = game._segments(probs.tobytes(), gamma.tobytes())
+            t = game._segments(probs, gamma)
             s = gamma.size
             c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]
             by_popularity = np.argsort(-probs, kind="stable")
@@ -549,7 +583,7 @@ class TestGreedyOracle:
 
     def test_the_window_grows_past_n(self):
         for cfg in self.window_configs():
-            t = game._segments(cfg.popularity.probs.tobytes(), cfg.coverage.gamma.tobytes())
+            t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
             mu, heavy = game._floor(t, cfg.alpha, cfg.cache_size)
             cut = game._fill(t, mu, heavy, cfg.cache_size)[1]
             assert 2 * cfg.library.num_files < cut < heavy
@@ -622,13 +656,44 @@ class TestSolveSlot:
         assert repeat is results[0].q_star
         assert repeat.q.tobytes() == self.cold(cfg).q_star.q.tobytes()
 
-    def test_clear_empties_both_entries(self):
+    def test_clear_empties_both_entries(self, builds):
         cfg = reference_config()
         sweep_equilibria(cfg, [0.0, 1.0])
         game._last_solve.clear()
-        assert (game._last_solve.last, game._last_solve.noadv) == (None, None)
+        assert game._last_solve.record is None
+        # the table goes with the solves, so the same objects build it again
         equilibrium_placement(cfg)
-        assert (game._last_solve.hits, game._last_solve.misses) == (0, 1)
+        assert (game._last_solve.hits, game._last_solve.misses, len(builds)) == (0, 1, 2)
+
+    def test_threads_solving_different_configs(self):
+        configs = [make_config(0.0, zipf_popularity(50, z).probs, gamma, 7.0)
+                   for z, gamma in ((0.7, [0.3, 0.6, 0.05, 0.05]), (1.1, [0.4, 0.3, 0.2, 0.1]))]
+        alphas = [0.0, 0.2, 0.4, 0.6, 0.8]
+        cold = [[self.cold(cfg.with_alpha(a)).q_star.q.tobytes() for a in alphas]
+                for cfg in configs]
+        # a solve that read the other config's table or entries would show
+        assert all(map(operator.ne, *cold))
+        solved = [[], []]
+
+        def solve(k):
+            for i in range(3000):
+                res = equilibrium_placement(configs[k].with_alpha(alphas[i % 5]))
+                solved[k].append(res.q_star.q.tobytes())
+
+        # switch threads as often as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        wrong = [sum(map(operator.ne, got, want * 600)) for got, want in zip(solved, cold)]
+        assert (list(map(len, solved)), wrong) == ([3000, 3000], [0, 0])
 
     def test_only_the_same_objects_hit(self, monkeypatch):
         calls = []
