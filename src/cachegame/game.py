@@ -5,7 +5,9 @@ file, so the leader minimizes
 
     (1-a) * sum_j p_j h(q_j) + a * h(min(q)),   h(x) = sum_d gamma_d max(1 - d x, 0)
 
-over the box-and-capacity polytope {0 <= q <= 1, sum q <= M}.  The objective
+over the box-and-capacity polytope {0 <= q <= 1, sum q <= M}, with h the
+coverage profile's deficit curve (`CoverageProfile.deficit`), which rates
+every placement; the solver below reads the slopes c_k instead.  The objective
 is convex and piecewise linear, and is minimized exactly by a greedy above a
 floor mu = min q found in closed form (Dantzig; Ibaraki & Katoh, Resource
 Allocation Problems, 1988):
@@ -368,12 +370,10 @@ def worst_case_rate(cfg: GameConfig) -> float:
     """Closed-form equilibrium rate when every user is an adversary.
 
     With alpha = 1 the leader plays uniformly, q_j = M/N, and the rate is
-    sum_d gamma_d max(1 - d M/N, 0).
+    h(M/N) = sum_d gamma_d max(1 - d M/N, 0), read off the coverage's curve.
     """
     level = min(cfg.cache_size / cfg.library.num_files, 1.0)
-    # every file sits at the level, so one of them gives the rate
-    return adversary_rate(Placement(q=[level], cache_size=cfg.cache_size),
-                          cfg.coverage, 0)
+    return float(cfg.coverage.deficit(level))
 
 
 def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:

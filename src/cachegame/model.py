@@ -55,12 +55,33 @@ class PopularityDist:
 
 @dataclass(frozen=True)
 class CoverageProfile:
-    """gamma[d-1] = probability that a user is covered by exactly d SBSs."""
+    """gamma[d-1] = probability that a user is covered by exactly d SBSs.
+
+    A user covered by d SBSs gets d q of a file cached at q, so the MBS
+    sends the deficit h(q) = sum_d gamma_d max(1 - d q, 0) over the
+    backhaul.  h is linear between the knots 0, 1/S, ..., 1/2, 1, and the
+    profile keeps it as a curve, built once with the profile: its value at
+    each knot, the S products summed by math.fsum, in read-only arrays
+    beside gamma that are not dataclass fields.  `deficit` interpolates it.
+    """
 
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _probability_vector(self.gamma, "gamma"))
+        gamma = _probability_vector(self.gamma, "gamma")
+        object.__setattr__(self, "gamma", gamma)
+        coefficients = list(enumerate(gamma.tolist(), start=1))
+        knots = np.array([0.0, *(1.0 / k for k in range(gamma.size, 0, -1))])
+        values = np.array([math.fsum([g * (1.0 - d * x) for d, g in coefficients
+                                      if d * x < 1.0]) for x in knots.tolist()])
+        for name, array in (("_knots", knots), ("_deficits", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def deficit(self, q):
+        """h(q) for a scalar or an array of q in [0, 1]: the stored knot
+        value at each knot, within rounding of the S-term sum between them."""
+        return np.interp(q, self._knots, self._deficits)
 
     @property
     def max_coverage(self) -> int:

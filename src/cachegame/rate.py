@@ -2,14 +2,13 @@
 
 A user covered by d SBSs receives d*q_j of the requested file from the
 caches; the MBS sends the deficit max(1 - d*q_j, 0) over the backhaul.
-Rates are normalized per request and per file.
+Averaged over the coverage profile, a request for file j costs h(q_j),
+which both rates read off the profile's deficit curve
+(`CoverageProfile.deficit`), the one definition of h; no S x N matrix is
+built.  Rates are normalized per request and per file.
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
 
 from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
                     PROB_TOL)
@@ -18,27 +17,22 @@ from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
 def legit_rate(placement: Placement, popularity: PopularityDist,
                coverage: CoverageProfile) -> float:
     """Average backhaul rate of users requesting by `popularity` or a mixed
-    strategy, sum_d sum_j gamma_d p_j max(1 - d q_j, 0)."""
+    strategy, sum_j p_j h(q_j)."""
     if popularity.num_files != placement.num_files:
         raise ValueError("popularity size does not match the placement")
-    gamma = coverage.gamma
-    d = np.arange(1, gamma.size + 1, dtype=float)
-    # in place: at large N each fresh S x N temporary costs page faults
-    deficit = np.multiply.outer(d, placement.q)
-    np.subtract(1.0, deficit, out=deficit)
-    np.maximum(deficit, 0.0, out=deficit)
-    return float(gamma @ deficit @ popularity.probs)
+    return float(coverage.deficit(placement.q) @ popularity.probs)
 
 
 def adversary_rate(placement: Placement, coverage: CoverageProfile,
                    target: int) -> float:
     """Backhaul rate of an adversary requesting file `target` (0-based),
-    h(q_target) = sum_d gamma_d max(1 - d q_target, 0), summed by math.fsum."""
+    h(q_target)."""
+    # any integer, numpy's too, has __index__; a bool has one but is no index
+    if isinstance(target, bool) or not hasattr(target, "__index__"):
+        raise ValueError(f"target must be an integer file index, got {target!r}")
     if not 0 <= target < placement.num_files:
         raise ValueError("target file out of range")
-    x = float(placement.q[target])
-    return math.fsum([g * (1.0 - d * x) for d, g in
-                      enumerate(coverage.gamma.tolist(), start=1) if d * x < 1.0])
+    return float(coverage.deficit(placement.q.item(target)))
 
 
 def total_rate(alpha: float, r_legit: float, r_adv: float) -> RateBreakdown:

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +91,108 @@ class TestAdversaryRate:
             expected = legit_rate(placement, PopularityDist(probs=one_hot), coverage)
             got = adversary_rate(placement, coverage, target)
             assert abs(got - expected) <= 2 * np.spacing(expected), (n, s, target)
+
+
+    def test_one_hot_deficit_rate_exact(self):
+        # the instances of the test above: both rates read the one curve
+        rng = np.random.default_rng(1313)
+        for _ in range(2000):
+            n, s = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            q = rng.random(n) * rng.choice([0.3, 1.0])
+            gamma = rng.dirichlet(np.ones(s))
+            target = int(rng.integers(n))
+            one_hot = np.zeros(n)
+            one_hot[target] = 1.0
+            placement = Placement(q=q, cache_size=n)
+            coverage = CoverageProfile(gamma=gamma)
+            assert (adversary_rate(placement, coverage, target)
+                    == legit_rate(placement, PopularityDist(probs=one_hot), coverage)
+                    ), (n, s, target)
+
+    @pytest.mark.parametrize("target", [1.5, 1.0, True, np.True_, "1"])
+    def test_non_integral_target(self, target):
+        pl, _, cov = make_inputs([0.5, 0.2, 0.1])
+        with pytest.raises(ValueError, match="integer"):
+            adversary_rate(pl, cov, target)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_target(self, kind):
+        pl, _, cov = make_inputs([0.5, 0.2, 0.1])
+        assert adversary_rate(pl, cov, kind(1)) == adversary_rate(pl, cov, 1)
+
+
+def direct_deficit(gamma, x):
+    """h(x) = sum_d gamma_d max(1 - d x, 0), the S products summed by fsum."""
+    return math.fsum([g * (1.0 - d * x) for d, g in enumerate(gamma.tolist(), start=1)
+                      if d * x < 1.0])
+
+
+def random_gamma(rng):
+    gamma = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+    if gamma.size > 1 and rng.random() < 0.5:
+        gamma[rng.integers(gamma.size)] = 0.0
+        gamma /= gamma.sum()
+    return gamma
+
+
+class TestDeficitCurve:
+    # between knots h is interpolated, not summed: two ulps of 1 apart at most
+    BETWEEN_KNOTS = 2.0**-51
+
+    def test_knots_are_the_fsum_formula(self):
+        rng = np.random.default_rng(2301)
+        for _ in range(500):
+            gamma = random_gamma(rng)
+            cov = CoverageProfile(gamma=gamma)
+            knots = [0.0, *(1.0 / k for k in range(gamma.size, 0, -1))]
+            for x in knots:
+                assert cov.deficit(x) == direct_deficit(cov.gamma, x), (gamma, x)
+            assert cov.deficit(np.array(knots)).tolist() == [
+                direct_deficit(cov.gamma, x) for x in knots]
+
+    def test_between_knots_within_rounding(self):
+        rng = np.random.default_rng(2302)
+        for _ in range(500):
+            cov = CoverageProfile(gamma=random_gamma(rng))
+            q = np.concatenate(([0.0, 1.0], 1.0 / np.arange(1, 6), rng.random(40),
+                                rng.random(10) / cov.max_coverage))
+            got = cov.deficit(q)
+            for x, h in zip(q.tolist(), got.tolist()):
+                assert abs(h - direct_deficit(cov.gamma, x)) <= self.BETWEEN_KNOTS, (
+                    cov.gamma, x)
+                assert cov.deficit(x) == h
+
+    def test_curve_is_read_only_and_not_a_field(self):
+        cov = CoverageProfile(gamma=[0.5, 0.3, 0.2])
+        assert [f.name for f in dataclasses.fields(CoverageProfile)] == ["gamma"]
+        assert repr(cov) == f"CoverageProfile(gamma={cov.gamma!r})"
+        for array in (cov._knots, cov._deficits):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    def test_replace_rebuilds_the_curve(self):
+        cov = CoverageProfile(gamma=[0.5, 0.5])
+        assert cov.deficit(0.25) == direct_deficit(cov.gamma, 0.25)
+        point = dataclasses.replace(cov, gamma=[1.0])
+        assert point._knots.tolist() == [0.0, 1.0]
+        assert point.deficit(0.25) == 0.75
+        assert cov.deficit(0.25) == direct_deficit(cov.gamma, 0.25)
+
+    def test_legit_rate_allocates_no_s_by_n_matrix(self):
+        n, s = 100_000, 4
+        rng = np.random.default_rng(2303)
+        pl = Placement(q=rng.random(n), cache_size=n)
+        p = PopularityDist(probs=rng.dirichlet(np.ones(n)))
+        cov = CoverageProfile(gamma=rng.dirichlet(np.ones(s)))
+        tracemalloc.start()
+        try:
+            legit_rate(pl, p, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the S x N float64 deficit matrix alone would take 8 S N bytes
+        assert peak < 8 * s * n
 
 
 class TestTotalRate:
