@@ -169,7 +169,10 @@ def _threshold_columns(qs: np.ndarray, q_ref: np.ndarray,
     above = qs > 1e-9
     last = qs.shape[1] - 1 - above[:, ::-1].argmax(axis=1)
     q_mu = np.where(above.any(axis=1), qs[np.arange(qs.shape[0]), last], 0.0)
-    return [q_min, q_max, q_mu, *game._distances(qs, q_ref, uniform)]
+    # max |q - uniform| bit for bit: rounding is monotone and symmetric
+    dist_uniform = np.maximum(q_max - uniform, uniform - q_min)
+    np.subtract(qs, q_ref, out=qs)
+    return [q_min, q_max, q_mu, np.abs(qs, out=qs).max(axis=1), dist_uniform]
 
 
 def cmd_thresholds(cfg: dict, args):

@@ -40,35 +40,34 @@ Allocation Problems, 1988):
   weights p_j c_l of one level l fall with popularity, so one binary search
   per level counts its heavy segments.  Past a = 1 - 1/(N p_max),
   x_a > p_max: nothing above mu is heavy, q* is uniform.
-- Cost per solve.  The module keeps one slot, keyed by the popularity
-  and coverage objects themselves (compared with `is`): it holds their
-  segment table, and the greedy reads nothing else.  The water level is
-  read off the table's steps g_m = m p_(m+1) - P_m (p ascending), which
-  never decrease, so (a/(1-a) + P_m) / m is least at the first m with
-  g_m >= a/(1-a): one bisection, then a walk outwards over a few values on
-  Python floats, which ends on each side once a value exceeds the least
-  one by the rounding bound of a float prefix sum, gives the bits of the
-  minimum over all N values; a walk that runs long, as on tied popularities at a tiny
-  alpha, takes that minimum.  The floor loop runs on Python numbers
-  and bisects a level's column only on the levels it visits: S bisections
-  of about log2 N steps per level.  The length the heavy segments fill is
-  summed exactly, in integers over one power-of-two denominator, and
-  rounded once, so q* has the same bits on every CPU and BLAS build.  The
-  fill ends at the budget: only the segments that start below it are
-  filled and summed per file, and the running sums cover a window of N
-  segments, doubled while the budget lies past its end.  So a solve makes
-  a fixed few numpy calls, whatever N is, and the floor none unless its
-  walk runs long.  q*(alpha) is piecewise constant, so the slot also keeps
-  the last solve and the last one at alpha = 0, the no-adversary optimum,
-  on those objects, and a call that lands on the piece of either reuses
-  its fill, placement, best response and rates, and mixes only the rates
-  by its own alpha.  It must have an equal M and a floor with the same
-  bits, and its heavy count must be the entry's or both must reach past
-  the segments the entry filled.  with_alpha and dataclasses.replace share
-  the objects, so an alpha or cache sweep hits; a replaced coverage, or a
-  config built afresh from equal vectors, builds its own table.  The slot
-  is one immutable record that a solve reads once and a miss replaces
-  whole, so solves in several threads never mix two configs.
+- Cost per solve.  The module keeps one slot, keyed by the popularity and
+  coverage objects themselves (compared with `is`), that holds their segment
+  table; the greedy reads nothing else.  The water level is read off the
+  table's steps g_m = m p_(m+1) - P_m (p ascending), which never decrease,
+  so (a/(1-a) + P_m) / m is least at the first m with g_m >= a/(1-a).  One
+  bisection, then a walk outwards on Python floats that ends on each side
+  once a value exceeds the least one by the rounding bound of a float prefix
+  sum, gives the bits of the minimum over all N values; a walk that runs
+  long (tied popularities at a tiny alpha) takes that minimum.  The floor
+  loop runs on Python numbers and bisects a level's column, about log2 N
+  steps, only on the levels it visits.  The heavy length is summed exactly,
+  in integers over one power-of-two denominator, and rounded once, so q* has
+  the same bits on every CPU and BLAS build.  The running sums cover a
+  window of N segments, doubled while the budget lies past its end; the
+  segments that start below the budget are filled, all whole but the last,
+  and summed per file.  So a solve makes a fixed few numpy calls, whatever N
+  is, and the floor none unless its walk runs long.  q*(alpha) is piecewise
+  constant, so the slot also keeps the last solve and the last one at alpha
+  = 0, the no-adversary optimum, on those objects.  A call on the piece of
+  either (an equal M, a floor with the same bits, and the entry's heavy
+  count or both past the segments it filled) reuses its fill, placement,
+  best response and rates, and mixes only the rates by its own alpha.
+  with_alpha and dataclasses.replace share the objects, so an alpha or cache
+  sweep hits; a replaced coverage, or a config built afresh from equal
+  vectors, builds its own table.  The slot is one immutable record that a
+  solve reads once and a miss replaces whole, so threads never mix two
+  configs.  detect_thresholds reads the placements one at a time, on ufunc
+  reductions, and stops at the second threshold.
 """
 
 from __future__ import annotations
@@ -287,7 +286,11 @@ def _fill(t: _Segments, mu: float, heavy: int, cache: float) -> tuple[np.ndarray
         if cut < size or size == heavy:
             break
         size = min(2 * size, heavy)
-    fill = np.minimum(budget - start[:cut], length[1:cut + 1])
+    # only the last filled segment can be partial: before it fl(start[i] +
+    # length[i + 1]) < budget, so fl(budget - start[i]) >= length[i + 1]
+    fill = length[1:cut + 1]
+    if cut:
+        fill[-1] = min(budget - start.item(cut - 1), fill.item(-1))
     return mu + np.bincount(t.owner[:cut], weights=fill, minlength=n), cut
 
 
@@ -355,14 +358,9 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
 
 
 def no_adversary_placement(cfg: GameConfig) -> Placement:
-    """Optimal placement against purely popularity-driven demand (alpha = 0).
-
-    Each file's deficit is convex piecewise linear with breakpoints
-    1/S, ..., 1/2, 1, so the optimum is a fractional knapsack over the
-    per-file segments.  If no two segment slopes tie, every q_j lies in
-    {0, 1/S, ..., 1/2, 1} except for at most one marginal file, which
-    absorbs the capacity left after the last whole segment.
-    """
+    """Optimal placement against purely popularity-driven demand (alpha = 0),
+    a fractional knapsack over the per-file segments: if no two slopes tie,
+    every q_j but one lies in {0, 1/S, ..., 1/2, 1}."""
     return equilibrium_placement(cfg.with_alpha(0.0)).q_star
 
 
@@ -382,17 +380,6 @@ def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
     return [equilibrium_placement(cfg.with_alpha(float(a))) for a in alphas]
 
 
-def _distances(qs: np.ndarray, q_ref: np.ndarray,
-               uniform: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's infinity-norm distance from q_ref and from the constant
-    placement `uniform`; qs, one placement per row, is overwritten."""
-    # rounding is monotone and symmetric, so this is max |q - uniform| bit
-    # for bit
-    dist_uniform = np.maximum(qs.max(axis=1) - uniform, uniform - qs.min(axis=1))
-    np.subtract(qs, q_ref, out=qs)
-    return np.abs(qs, out=qs).max(axis=1), dist_uniform
-
-
 def detect_thresholds(cfg: GameConfig, alpha_grid,
                       results: list[EquilibriumResult]) -> ThresholdResult:
     """Locate the branching and gathering points of the placement trajectory.
@@ -401,23 +388,32 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
     example from sweep_equilibria.  alpha_thr_1 is the smallest grid alpha
     whose placement moves more than DISTANCE_TOL (infinity norm) away from
     the no-adversary optimum; alpha_thr_2 the smallest grid alpha within
-    DISTANCE_TOL of the uniform placement.
+    DISTANCE_TOL of the uniform placement.  The placements are read one at
+    a time in grid order until both are found; no rows x N matrix is built.
     """
-    alphas = np.asarray(alpha_grid, dtype=float)
-    if alphas.size == 0:
+    alphas = [float(a) for a in alpha_grid]
+    if not alphas:
         raise ValueError("alpha grid must be non-empty")
     # written so that NaN fails the test
-    if not np.all((alphas >= 0) & (alphas <= 1)):
+    if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha grid must lie in [0, 1]")
-    if np.any(np.diff(alphas) < 0):
+    if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted")
-    if len(results) != alphas.size:
+    if len(results) != len(alphas):
         raise ValueError("results do not match the alpha grid")
-    dist_noadv, dist_uniform = _distances(
-        np.array([res.q_star.q for res in results]), no_adversary_placement(cfg).q,
-        min(cfg.cache_size / cfg.library.num_files, 1.0))
-    branched = np.flatnonzero(dist_noadv > DISTANCE_TOL)
-    gathered = np.flatnonzero(dist_uniform <= DISTANCE_TOL)
-    return ThresholdResult(
-        alpha_thr_1=float(alphas[branched[0]]) if branched.size else None,
-        alpha_thr_2=float(alphas[gathered[0]]) if gathered.size else None)
+    q_ref = no_adversary_placement(cfg).q
+    uniform = min(cfg.cache_size / cfg.library.num_files, 1.0)
+    branched = gathered = None
+    for alpha, res in zip(alphas, results):
+        q = res.q_star.q              # its own minimum, not res.j_star's entry
+        # a solve on the no-adversary piece shares q_ref itself: distance 0
+        if (branched is None and q is not q_ref
+                and np.maximum.reduce(np.abs(q - q_ref)) > DISTANCE_TOL):
+            branched = alpha
+        # max |q - uniform| <= DISTANCE_TOL, the lower side first
+        if (gathered is None and uniform - np.minimum.reduce(q) <= DISTANCE_TOL
+                and np.maximum.reduce(q) - uniform <= DISTANCE_TOL):
+            gathered = alpha
+        if branched is not None and gathered is not None:
+            break
+    return ThresholdResult(alpha_thr_1=branched, alpha_thr_2=gathered)

@@ -99,7 +99,8 @@ class Placement:
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("placement must be a non-empty vector")
-        low, high = q.min(), q.max()
+        # the ufuncs of q.min(), q.max() and q.sum(), without their wrappers
+        low, high = np.minimum.reduce(q), np.maximum.reduce(q)
         # written so that a NaN entry fails the test: min and max are then NaN
         if not (low >= -PROB_TOL and high <= 1.0 + PROB_TOL):
             raise ValueError("placement entries must lie in [0, 1]")
@@ -110,7 +111,7 @@ class Placement:
         object.__setattr__(self, "q", q)
         if not self.cache_size > 0:
             raise ValueError("cache size must be positive")
-        if q.sum() > self.cache_size + CAPACITY_TOL:
+        if np.add.reduce(q) > self.cache_size + CAPACITY_TOL:
             raise ValueError("placement exceeds cache capacity")
 
     @property

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -807,9 +808,10 @@ class TestSweepAndThresholds:
             qs[-1, :n // 2] = uniform
             q_ref = rng.random(n)
             expected = (np.abs(qs - q_ref).max(axis=1), np.abs(qs - uniform).max(axis=1))
-            # bytes, so that -0.0 and 0.0 differ
-            assert [d.tobytes() for d in game._distances(qs, q_ref, uniform)] == \
-                [d.tobytes() for d in expected]
+            # the dist_noadv and dist_uniform columns; bytes, so that -0.0
+            # and 0.0 differ
+            columns = cli._threshold_columns(qs, q_ref, uniform)[3:]
+            assert [d.tobytes() for d in columns] == [d.tobytes() for d in expected]
 
     def test_each_placement_is_classified_by_its_distances(self):
         cfg = reference_config()
@@ -863,3 +865,156 @@ class TestSweepAndThresholds:
                                                  best_response(placement))).r_total
 
             assert value(sorted_pl) <= value(pl) + 1e-12
+
+
+def stacked_thresholds(cfg, alpha_grid, results):
+    """detect_thresholds computed on every placement at once, one row each
+    of a rows x N matrix: the reference of the streaming scan."""
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if alphas.size == 0:
+        raise ValueError("alpha grid must be non-empty")
+    if not np.all((alphas >= 0) & (alphas <= 1)):
+        raise ValueError("alpha grid must lie in [0, 1]")
+    if np.any(np.diff(alphas) < 0):
+        raise ValueError("alpha grid must be sorted")
+    if len(results) != alphas.size:
+        raise ValueError("results do not match the alpha grid")
+    qs = np.array([res.q_star.q for res in results])
+    q_ref = no_adversary_placement(cfg).q
+    uniform = min(cfg.cache_size / cfg.library.num_files, 1.0)
+    dist_uniform = np.maximum(qs.max(axis=1) - uniform, uniform - qs.min(axis=1))
+    dist_noadv = np.abs(qs - q_ref).max(axis=1)
+    branched = np.flatnonzero(dist_noadv > DISTANCE_TOL)
+    gathered = np.flatnonzero(dist_uniform <= DISTANCE_TOL)
+    return game.ThresholdResult(
+        alpha_thr_1=float(alphas[branched[0]]) if branched.size else None,
+        alpha_thr_2=float(alphas[gathered[0]]) if gathered.size else None)
+
+
+def threshold_instances():
+    """Seeded (cfg, grid) pairs: Zipf, Dirichlet and tied popularities,
+    grids that start at 0 or above it, a third with repeated alphas."""
+    rng = np.random.default_rng(2401)
+    cases = []
+    for kind in ("zipf", "dirichlet", "tied"):
+        for _ in range(15):
+            n = int(rng.integers(1, 300))
+            if kind == "zipf":
+                probs = zipf_popularity(n, float(rng.choice([0.0, 0.4, 0.7, 1.2]))).probs
+            elif kind == "dirichlet":
+                probs = rng.dirichlet(np.full(n, float(rng.choice([0.3, 1.0, 5.0]))))
+            else:
+                counts = rng.integers(1, 4, n).astype(float)
+                probs = counts / counts.sum()
+            gamma = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+            cache = float(rng.uniform(0.02, 1.0) * n)
+            start = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.9))
+            grid = np.round(np.sort(rng.uniform(start, 1.0, int(rng.integers(1, 25)))), 3)
+            if start == 0.0:
+                grid[0] = 0.0
+            if rng.random() < 0.5:
+                grid = np.append(grid, 1.0)
+            if rng.random() < 0.3:
+                grid = np.repeat(grid, rng.integers(1, 4, grid.size))
+            cases.append((make_config(0.0, probs, gamma, cache), grid.tolist()))
+    cfg = reference_config()
+    cases += [(cfg, [0.0]), (cfg, [0.5]), (cfg, [1.0]), (cfg, [0.0, 0.0, 0.0]),
+              (cfg, [0.0, 0.01, 0.02]), (cfg, [0.5, 0.5, 0.9, 0.95, 0.95, 1.0])]
+    # caches so small that every placement is within DISTANCE_TOL of the
+    # uniform one: gathering without branching
+    cases += [(dataclasses.replace(cfg, cache_size=cache), [0.0, 0.5, 1.0])
+              for cache in (1e-5, 1e-4)]
+    cases += [(c, [0.0, 0.25, 0.25, 0.5, 1.0]) for c in tie_heavy_configs()[::4]]
+    return cases
+
+
+class TestThresholdScan:
+    """The streaming detect_thresholds against the stacked reference."""
+
+    @staticmethod
+    def assert_same(cfg, grid, results):
+        expected = stacked_thresholds(cfg, grid, results)
+        for form in (list, tuple, np.array):
+            # repr, so that the types and -0.0 count
+            assert repr(detect_thresholds(cfg, form(grid), results)) == repr(expected)
+        return expected
+
+    def test_matches_the_stacked_reference(self):
+        outcomes = set()
+        for cfg, grid in threshold_instances():
+            expected = self.assert_same(cfg, grid, sweep_equilibria(cfg, grid))
+            outcomes.add((expected.alpha_thr_1 is None, expected.alpha_thr_2 is None))
+        # branching and gathering each found and absent, in all four pairs
+        assert outcomes == set(itertools.product([False, True], repeat=2))
+
+    def test_shared_and_copied_rows(self):
+        for cfg, grid in threshold_instances()[::3]:
+            results = sweep_equilibria(cfg, grid)
+            # one Placement object in every row, then equal arrays in
+            # distinct objects
+            for res in (results[0], results[-1]):
+                self.assert_same(cfg, grid, [res] * len(grid))
+            copies = [dataclasses.replace(res, q_star=Placement(
+                q=res.q_star.q.copy(), cache_size=res.q_star.cache_size))
+                for res in results]
+            self.assert_same(cfg, grid, copies)
+
+    def test_rows_near_the_tolerance(self):
+        cfg = reference_config()
+        n, cache = cfg.library.num_files, cfg.cache_size
+        q_ref = no_adversary_placement(cfg).q
+        base = equilibrium_placement(cfg)
+        rng = np.random.default_rng(2402)
+        for _ in range(60):
+            rows = []
+            for _ in range(int(rng.integers(1, 8))):
+                centre = q_ref if rng.random() < 0.5 else cache / n
+                # each row reaches about 0.5, 1 or 3 DISTANCE_TOL from its centre
+                depth = rng.choice([0.5, 0.999, 1.0, 1.001, 3.0]) * DISTANCE_TOL
+                q = np.clip(centre + rng.choice([-1.0, 1.0], n) * depth * rng.random(n),
+                            0.0, 1.0)
+                rows.append(dataclasses.replace(base, q_star=Placement(
+                    q=q * min(1.0, cache / q.sum()), cache_size=cache)))
+            grid = np.sort(rng.random(len(rows))).tolist()
+            self.assert_same(cfg, grid, rows)
+
+    def test_stops_at_the_second_threshold(self):
+        class Unread:
+            @property
+            def q_star(self):
+                raise AssertionError("read past the second threshold")
+
+        cfg = reference_config()
+        grid = [0.0, 0.5, 0.95, 0.97, 0.99]
+        results = sweep_equilibria(cfg, grid)
+        detection = detect_thresholds(cfg, grid, [*results[:3], Unread(), Unread()])
+        assert detection == stacked_thresholds(cfg, grid, results)
+        assert detection == game.ThresholdResult(alpha_thr_1=0.5, alpha_thr_2=0.95)
+
+    @pytest.mark.parametrize("grid", [
+        [], [0.5, 0.0], [-0.1, 0.5], [0.5, 1.5], [0.0, math.nan, 1.0], [math.nan],
+        [0.0, 0.5], [0.0, 0.0]])
+    def test_errors_match_the_reference(self, grid):
+        cfg = reference_config()
+        results = sweep_equilibria(cfg, [0.0])
+        with pytest.raises(ValueError) as expected:
+            stacked_thresholds(cfg, grid, results)
+        for form in (list, tuple, np.array):
+            with pytest.raises(ValueError) as got:
+                detect_thresholds(cfg, form(grid), results)
+            assert str(got.value) == str(expected.value)
+
+    def test_stacks_no_rows(self):
+        n = 20_000
+        cfg = make_config(0.0, zipf_popularity(n, 0.7).probs, GAMMA_R45, n / 10)
+        grid = np.linspace(0.0, 1.0, 101)
+        results = sweep_equilibria(cfg, grid)
+        tracemalloc.start()
+        try:
+            detection = detect_thresholds(cfg, grid, results)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert detection == stacked_thresholds(cfg, grid, results)
+        # a few N-vectors at a time; the 101 rows stacked take 16 MB
+        assert peak < 8 * n * 8
