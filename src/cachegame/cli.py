@@ -110,7 +110,7 @@ def cmd_placement(cfg: dict, args):
     row = [_fmt(gcfg.alpha), *_rate_cells(res),
            *[_fmt(v) for v in res.q_star.q.tolist()]]
     header = ["alpha", *RATE_HEADER,
-              *[f"q_{j}" for j in range(1, gcfg.library.num_files + 1)]]
+              *[f"q_{j}" for j in range(1, gcfg.popularity.num_files + 1)]]
     return [row], header
 
 
@@ -181,7 +181,7 @@ def cmd_thresholds(cfg: dict, args):
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
     q_ref = game.no_adversary_placement(gcfg).q
-    uniform = min(gcfg.cache_size / gcfg.library.num_files, 1.0)
+    uniform = min(gcfg.cache_size / gcfg.popularity.num_files, 1.0)
     columns = _threshold_columns(np.array([res.q_star.q for res in results]),
                                  q_ref, uniform)
     r_total = [res.rates.r_total for res in results]

@@ -43,25 +43,24 @@ Allocation Problems, 1988):
 - Cost per solve.  The module keeps one slot, keyed by the popularity and
   coverage objects themselves (compared with `is`), that holds their segment
   table; the greedy reads nothing else.  The water level is read off the
-  table's steps g_m = m p_(m+1) - P_m (p ascending), which never decrease,
-  so (a/(1-a) + P_m) / m is least at the first m with g_m >= a/(1-a).  One
-  bisection, then a walk outwards on Python floats that ends on each side
-  once a value exceeds the least one by the rounding bound of a float prefix
-  sum, gives the bits of the minimum over all N values; a walk that runs
-  long (tied popularities at a tiny alpha) takes that minimum.  The floor
-  loop runs on Python numbers and bisects a level's column, about log2 N
-  steps, only on the levels it visits.  The heavy length is summed exactly,
-  in integers over one power-of-two denominator, and rounded once, so q* has
-  the same bits on every CPU and BLAS build.  The running sums cover a
-  window of N segments, doubled while the budget lies past its end; the
-  segments that start below the budget are filled, all whole but the last,
-  and summed per file.  So a solve makes a fixed few numpy calls, whatever N
-  is, and the floor none unless its walk runs long.  q*(alpha) is piecewise
-  constant, so the slot also keeps the last solve and the last one at alpha
-  = 0, the no-adversary optimum, on those objects.  A call on the piece of
-  either (an equal M, a floor with the same bits, and the entry's heavy
-  count or both past the segments it filled) reuses its fill, placement,
-  best response and rates, and mixes only the rates by its own alpha.
+  table's steps g_m = m p_(m+1) - P_m (p ascending), which never decrease
+  in exact arithmetic, so (a/(1-a) + P_m) / m is least at the first m with
+  g_m >= a/(1-a): x_a is its value there, which one bisection over the
+  running maximum of the computed steps and one division give, within a
+  relative (N + 2) 2^-53 of the exact minimum.  The floor loop runs on
+  Python numbers and bisects a level's column, about log2 N steps, only on
+  the levels it visits.  The heavy length is summed exactly, in integers
+  over one power-of-two denominator, and rounded once, so q* has the same
+  bits on every CPU and BLAS build.  The running sums cover a window of N
+  segments, doubled while the budget lies past its end; the segments that
+  start below the budget are filled, all whole but the last, and summed
+  per file.  So a solve makes a fixed few numpy calls, whatever N is, and
+  the floor none.  q*(alpha) is piecewise constant, so the slot also keeps
+  the last solve and the last one at alpha = 0, the no-adversary optimum,
+  on those objects.  A call on the piece of either (an equal M, a floor
+  with the same bits, and the entry's heavy count or both past the
+  segments it filled) reuses its fill, placement, best response and
+  rates, and mixes only the rates by its own alpha.
   with_alpha and dataclasses.replace share the objects, so an alpha or cache
   sweep hits; a replaced coverage, or a config built afresh from equal
   vectors, builds its own table.  The slot is one immutable record that a
@@ -84,9 +83,6 @@ from .rate import adversary_rate, legit_rate, total_rate
 
 # infinity-norm distance at which detect_thresholds calls two placements apart
 DISTANCE_TOL = 1e-3
-# the values within rounding of the least one that the water level's walk
-# may pass before it takes the minimum over all N values
-_WALK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,8 @@ class _Segments:
     level of length 0 that starts the running sums.  columns views the
     negated weights -p_j c_l level by level, each level's N in popularity
     order, so ascending within a level.  cumprobs[m - 1] = P_m, the sum of
-    the m smallest probabilities, and ranks[m - 1] = m.  steps views the
-    water-level steps g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
+    the m smallest probabilities; N is its size.  steps views the running
+    maximum of the steps g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
     """
 
     c: tuple[float, ...]
@@ -155,7 +151,6 @@ class _Segments:
     segment: np.ndarray
     columns: memoryview
     cumprobs: np.ndarray
-    ranks: np.ndarray
     steps: memoryview
 
 
@@ -187,9 +182,8 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     # the ascending probabilities, so the sums of np.sort(probs) bit for bit
     ascending = descending[::-1]
     cumprobs = ascending.cumsum()
-    ranks = np.arange(1.0, n + 1)
-    steps = ranks[:-1] * ascending[1:] - cumprobs[:-1]
-    for array in (columns, owner, segment, cumprobs, ranks, steps):
+    steps = np.maximum.accumulate(np.arange(1.0, n) * ascending[1:] - cumprobs[:-1])
+    for array in (columns, owner, segment, cumprobs, steps):
         array.setflags(write=False)
     # every float is an integer over a power of two, so the largest
     # denominator is a multiple of all the others
@@ -199,51 +193,26 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     return _Segments(c=tuple(c.tolist()), lo=tuple(lo), hi=tuple(hi),
                      hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
                      owner=owner, segment=segment, columns=memoryview(columns),
-                     cumprobs=cumprobs, ranks=ranks, steps=memoryview(steps))
+                     cumprobs=cumprobs, steps=memoryview(steps))
 
 
 def _water_level(t: _Segments, alpha: float) -> float:
-    """x_a = min_m (a/(1-a) + P_m) / m on the segment table t, with the bits
-    of the numpy minimum over all N values."""
+    """x_a = (a/(1-a) + P_m) / m on the segment table t, at the first rank m
+    whose computed step g_m reaches a/(1-a), or m = N if none does."""
     if alpha == 0.0:
         return 0.0
     if alpha == 1.0:
         return math.inf
     a = alpha / (1.0 - alpha)
-    cumprobs = t.cumprobs.data
-    n = len(cumprobs)
-    # In exact arithmetic (a + P_m) / m falls while g_m < a and never falls
-    # after, so it is least at the first m with g_m >= a.  Each computed
-    # value is within a relative (N + 2) 2^-53 of its exact one (the prefix
-    # sum, the add and the divide), so a value that exceeds the least one
-    # seen by `slack`, three times that, lies past the exact minimum, and no
-    # value beyond it is less: the walk outwards from the bisection stops
-    # there on each side.  Index i holds rank m = i + 1.
-    slack = 3 * (n + 2) * 2.0**-53
-    start = bisect.bisect_left(t.steps, a)
-    best = (a + cumprobs[start]) / (start + 1)
-    limit, reads = best * (1.0 + slack), _WALK_STEPS
-    for step in (1, -1):
-        i = start + step
-        while 0 <= i < n and reads:
-            value = (a + cumprobs[i]) / (i + 1)
-            if value > limit:
-                break
-            if value < best:
-                best, limit = value, value * (1.0 + slack)
-            i, reads = i + step, reads - 1
-    # a value within rounding of its neighbours the whole walk long (tied
-    # popularities at a tiny alpha), or one too small for relative rounding
-    # bounds, takes the minimum over all N values
-    if not reads or best < 2.0**-1000:
-        return float(np.min((a + t.cumprobs) / t.ranks))
-    return best
+    # index i holds rank m = i + 1, and i = N - 1 when no step reaches a
+    i = bisect.bisect_left(t.steps, a)
+    return (a + t.cumprobs.item(i)) / (i + 1)
 
 
 def _floor(t: _Segments, alpha: float, cache: float) -> tuple[float, int]:
     """The closed-form floor mu of the module docstring on the segment table
     t, and the number of heavy segments, a prefix of the sorted order."""
-    n, s = t.ranks.size, len(t.c)
+    n, s = t.cumprobs.size, len(t.c)
     c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
     x_a = _water_level(t, alpha)
     for k in range(s):                            # levels, increasing q
@@ -267,7 +236,7 @@ def _fill(t: _Segments, mu: float, heavy: int, cache: float) -> tuple[np.ndarray
     segments, above mu, and the number of segments it fills.  Equal weights
     fill in popularity order, ties in index order, so q is non-increasing in
     it."""
-    n = t.ranks.size
+    n = t.cumprobs.size
     budget = cache - n * mu
     # each level's length above mu, then a 0.0 for level s, which leads the
     # sorted segments
@@ -292,12 +261,6 @@ def _fill(t: _Segments, mu: float, heavy: int, cache: float) -> tuple[np.ndarray
     if cut:
         fill[-1] = min(budget - start.item(cut - 1), fill.item(-1))
     return mu + np.bincount(t.owner[:cut], weights=fill, minlength=n), cut
-
-
-def _greedy_placement(t: _Segments, alpha: float, cache: float) -> np.ndarray:
-    """Exact minimizer of the leader's objective on the segment table t: the
-    greedy fill above the closed-form floor of the module docstring."""
-    return _fill(t, *_floor(t, alpha, cache), cache)[0]
 
 
 class _Cache:
@@ -370,7 +333,7 @@ def worst_case_rate(cfg: GameConfig) -> float:
     With alpha = 1 the leader plays uniformly, q_j = M/N, and the rate is
     h(M/N) = sum_d gamma_d max(1 - d M/N, 0), read off the coverage's curve.
     """
-    level = min(cfg.cache_size / cfg.library.num_files, 1.0)
+    level = min(cfg.cache_size / cfg.popularity.num_files, 1.0)
     return float(cfg.coverage.deficit(level))
 
 
@@ -402,7 +365,7 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
     if len(results) != len(alphas):
         raise ValueError("results do not match the alpha grid")
     q_ref = no_adversary_placement(cfg).q
-    uniform = min(cfg.cache_size / cfg.library.num_files, 1.0)
+    uniform = min(cfg.cache_size / cfg.popularity.num_files, 1.0)
     branched = gathered = None
     for alpha, res in zip(alphas, results):
         q = res.q_star.q              # its own minimum, not res.j_star's entry

@@ -27,6 +27,14 @@ def _probability_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_num_files(num_files) -> None:
+    """ValueError unless num_files is a positive integer (not a bool)."""
+    if isinstance(num_files, bool) or not isinstance(num_files, numbers.Integral):
+        raise ValueError(f"num_files must be an integer, got {num_files!r}")
+    if num_files < 1:
+        raise ValueError("num_files must be >= 1")
+
+
 @dataclass(frozen=True)
 class LibraryConfig:
     """File library of N files."""
@@ -34,8 +42,7 @@ class LibraryConfig:
     num_files: int
 
     def __post_init__(self):
-        if self.num_files < 1:
-            raise ValueError("num_files must be >= 1")
+        _check_num_files(self.num_files)
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,7 @@ class RateBreakdown:
 
 def zipf_popularity(num_files: int, exponent: float) -> PopularityDist:
     """Zipf popularity p_j proportional to 1/j^z; z = 0 gives a uniform demand."""
-    if num_files < 1:
-        raise ValueError("num_files must be >= 1")
+    _check_num_files(num_files)
     if not 0 <= exponent < math.inf:
         raise ValueError("Zipf exponent must be finite and non-negative")
     # a large exponent overflows j^z to inf, which gives the file weight 0

@@ -1,17 +1,33 @@
 """Test oracle: the vectorised greedy that `cachegame.game` used to run.
 
 It is the module docstring's algorithm written with one numpy call per step:
-the segment order is sorted per call, the water level x_a is the minimum over
-all N prefix sums, the heavy segments are counted by one `searchsorted` per
-level column, the floor loop reads numpy scalars, and the length the heavy
-segments fill is summed as an exact `Fraction`, rounded once to a float.
-`game._greedy_placement` must return the same bits on every input; the tests
-compare the two with `np.array_equal`.
+the segment order is sorted per call, the water level x_a is read at the
+first rank whose step reaches a/(1-a), found by a boolean `argmax`, the heavy
+segments are counted by one `searchsorted` per level column, the floor loop
+reads numpy scalars, and the length the heavy segments fill is summed as an
+exact `Fraction`, rounded once to a float.  The greedy of `cachegame.game`,
+`game._fill(t, *game._floor(t, alpha, M), M)[0]` on the segment table t,
+must return the same bits on every input; the tests compare the two with
+`np.array_equal`.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+
+def water_level(probs: np.ndarray, alpha: float) -> float:
+    """x_a = (a + P_m) / m, a = alpha/(1-alpha), at the first rank m whose step
+    g_m = m p_(m+1) - P_m reaches a (p ascending, P_m the sum of the m
+    smallest), or m = N if none does; 0 at alpha = 0, inf at alpha = 1."""
+    if alpha in (0.0, 1.0):
+        return 0.0 if alpha == 0.0 else np.inf
+    ascending = np.sort(probs)
+    cumprobs = np.cumsum(ascending)
+    a = alpha / (1.0 - alpha)
+    steps = np.arange(1, probs.size) * ascending[1:] - cumprobs[:-1]
+    m = np.append(steps >= a, True).argmax() + 1
+    return float((a + cumprobs[m - 1]) / m)
 
 
 def greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
@@ -26,9 +42,7 @@ def greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
     order = np.argsort(columns.T.ravel(), kind="stable")
     owner, segment = np.divmod(order, s)
     owner = by_popularity[owner]
-    cumprobs = np.cumsum(np.sort(probs))
-    x_a = (0.0 if alpha == 0.0 else np.inf if alpha == 1.0 else
-           np.min((alpha / (1.0 - alpha) + cumprobs) / np.arange(1, n + 1)))
+    x_a = water_level(probs, alpha)
     # count[k, l]: level-l segments weighing >= c_k x_a, all of them if c_k = 0
     bound = -np.multiply(c, x_a, out=np.zeros(s), where=c > 0)
     count = np.array([column.searchsorted(bound, side="right")

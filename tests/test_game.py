@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greedy_oracle import greedy_placement
+from greedy_oracle import greedy_placement, water_level
 from lp_oracle import lp_equilibrium
 import cachegame
 from cachegame import cli, game, geometry, rate, simulator
@@ -404,15 +404,27 @@ class TestSegmentTable:
 
 
 class TestWaterLevel:
-    """The water level read off the steps column has the bits of the minimum
-    over all N values."""
+    """The water level is read at the first rank whose step reaches
+    a/(1-a), within rounding of the exact minimum over all N values."""
 
     @staticmethod
-    def full_minimum(t, alpha):
-        return float(np.min((alpha / (1.0 - alpha) + t.cumprobs) / t.ranks))
+    def full_minimum(probs, alpha):
+        cumprobs = np.cumsum(np.sort(probs))
+        return float(np.min((alpha / (1.0 - alpha) + cumprobs)
+                            / np.arange(1.0, probs.size + 1)))
 
     @staticmethod
-    def random_tables():
+    def exact_minimum(probs, a):
+        """min_m (a + P_m) / m as a Fraction of the float a and probs: the
+        sums are exact integers over one power-of-two denominator."""
+        ratios = [v.as_integer_ratio() for v in [a, *np.sort(probs).tolist()]]
+        scale = max(den for _, den in ratios)
+        a_num, *nums = (num * (scale // den) for num, den in ratios)
+        return min(Fraction(a_num + total, m) for m, total
+                   in enumerate(itertools.accumulate(nums), start=1)) / scale
+
+    @staticmethod
+    def random_tables(kinds=range(5)):
         rng = np.random.default_rng(2020)
         for k in range(300):
             n = int(rng.choice([1, 2, 3, 10, 200, 2000, 20_000]))
@@ -434,7 +446,8 @@ class TestWaterLevel:
                 probs = weights / weights.sum()
             alphas = np.concatenate((rng.random(8), 10.0 ** -rng.uniform(0, 300, 4),
                                      1.0 - 10.0 ** -rng.uniform(0, 16, 3)))
-            yield probs, alphas
+            if kind in kinds:
+                yield probs, alphas
 
     @staticmethod
     def adversarial_tables():
@@ -446,49 +459,45 @@ class TestWaterLevel:
         yield np.array([0.75, 0.25]), tiny
         yield np.array([1.0, 0.0]), [5e-324, *tiny]
 
-    @pytest.mark.parametrize("walk", ["default", "unbounded"])
     @pytest.mark.parametrize("source", ["random", "adversarial"])
-    def test_bits_of_the_full_minimum(self, source, walk, monkeypatch):
-        if walk == "unbounded":
-            # the walk's stopping rule alone, without its fallback on length
-            monkeypatch.setattr(game, "_WALK_STEPS", 10**9)
+    def test_bits_of_the_first_rank(self, source):
         tables = self.random_tables() if source == "random" else self.adversarial_tables()
         for probs, alphas in tables:
             t = game._segments(probs, GAMMA_R45)
             for alpha in map(float, alphas):
-                assert game._water_level(t, alpha) == self.full_minimum(t, alpha), \
+                assert game._water_level(t, alpha) == water_level(probs, alpha), \
                     (probs.size, alpha)
 
-    @pytest.fixture
-    def full_minima(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(np, "min", lambda *args, func=np.min, **kwargs:
-                            calls.append(1) or func(*args, **kwargs))
-        return calls
-
-    def test_ties_at_a_tiny_alpha_take_the_full_minimum(self, full_minima):
-        # every value lies within rounding of its neighbours
-        for probs in (np.full(2000, 1 / 2000), np.repeat([3.0, 1.0], [700, 1300]) / 3400):
+    def test_bits_of_the_full_minimum(self):
+        # Zipf, Dirichlet and heavy-tailed tables: no ties within rounding
+        for probs, alphas in self.random_tables(kinds=(0, 1, 4)):
             t = game._segments(probs, GAMMA_R45)
-            full_minima.clear()
-            game._water_level(t, 1e-300)
-            assert full_minima == [1]
-
-    def test_a_subnormal_level_takes_the_full_minimum(self, full_minima):
-        # x_a = a/(1-a) = 5e-324 at the zero popularity, below the range
-        # where each value is within a relative rounding bound
-        t = game._segments(np.array([1.0, 0.0]), GAMMA_R45)
-        assert game._water_level(t, 5e-324) == 5e-324
-        assert full_minima == [1]
-
-    def test_a_zipf_sweep_never_takes_the_full_minimum(self, full_minima):
+            for alpha in map(float, alphas):
+                if 0.0 < alpha < 1.0:
+                    assert game._water_level(t, alpha) == self.full_minimum(probs, alpha), \
+                        (probs.size, alpha)
         probs = zipf_popularity(2000, 0.7).probs
         t = game._segments(probs, GAMMA_R45)
-        for alpha in np.linspace(0.0, 1.0, 1001):
-            game._water_level(t, float(alpha))
-        sweep_equilibria(make_config(0.0, probs, GAMMA_R45, 200.0),
-                         [round(0.05 * k, 12) for k in range(21)])
-        assert full_minima == []
+        for alpha in np.linspace(0.0, 1.0, 1001)[1:-1].tolist():
+            assert game._water_level(t, alpha) == self.full_minimum(probs, alpha), alpha
+
+    def test_within_rounding_of_the_exact_minimum(self):
+        tables = itertools.chain(
+            ((probs, alphas) for probs, alphas in self.random_tables() if probs.size <= 200),
+            self.adversarial_tables())
+        for probs, alphas in tables:
+            t = game._segments(probs, GAMMA_R45)
+            bound = Fraction(probs.size + 2, 2**53)
+            for alpha in map(float, alphas):
+                if 0.0 < alpha < 1.0:
+                    exact = self.exact_minimum(probs, alpha / (1.0 - alpha))
+                    error = abs(Fraction(game._water_level(t, alpha)) - exact)
+                    assert error <= bound * exact, (probs.size, alpha)
+
+    def test_a_subnormal_level(self):
+        # x_a = a/(1-a) = 5e-324 at the zero popularity
+        t = game._segments(np.array([1.0, 0.0]), GAMMA_R45)
+        assert game._water_level(t, 5e-324) == 5e-324
 
 
 class TestGreedyOracle:
@@ -566,9 +575,20 @@ class TestGreedyOracle:
         for k, cfg in enumerate(cases):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
-            assert np.array_equal(game._greedy_placement(t, cfg.alpha, cfg.cache_size),
+            greedy = game._fill(t, *game._floor(t, cfg.alpha, cfg.cache_size),
+                                cfg.cache_size)[0]
+            assert np.array_equal(greedy,
                                   greedy_placement(probs, gamma, cfg.alpha,
                                                    cfg.cache_size)), (source, k)
+
+    def test_uniform_popularity_at_a_tiny_alpha_plays_uniform(self):
+        # any alpha > 0 makes the uniform placement the exact optimum under
+        # uniform popularity; the water level lies at rank N, not at rank 1
+        cfg = self.random_configs()[149]
+        probs = cfg.popularity.probs
+        assert (probs.size, cfg.cache_size, cfg.alpha) == (21, 11.0, 1e-20)
+        assert np.all(probs == probs[0])
+        assert equilibrium_placement(cfg).q_star.q.tolist() == [11 / 21] * 21
 
     def test_segment_order_is_one_stable_sort_by_file(self):
         for cfg in tie_heavy_configs()[::4] + [reference_config()]:

@@ -186,6 +186,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             LibraryConfig(num_files=0)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: LibraryConfig(num_files=n), lambda n: zipf_popularity(n, 0.7),
+    ], ids=["library", "zipf"])
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, np.float64(3.0), "3"])
+    def test_library_size_must_be_an_integer(self, build, size):
+        with pytest.raises(ValueError, match="num_files must be an integer"):
+            build(size)
+
+    @pytest.mark.parametrize("size", [3, np.int64(3), np.uint8(3)])
+    def test_numpy_integer_library_sizes_pass(self, size):
+        assert LibraryConfig(num_files=size).num_files == 3
+        assert zipf_popularity(size, 0.7).num_files == 3
+
     @pytest.mark.parametrize("alpha, cache, num_probs, match", [
         (-0.1, 2.0, 4, "alpha"), (1.1, 2.0, 4, "alpha"), (0.5, 0.0, 4, "0 < M < N"),
         (0.5, 4.0, 4, "0 < M < N"), (0.5, 2.0, 5, "popularity size"),
