@@ -31,9 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 # the most points an 'a:b:step' grid may have
 MAX_GRID_POINTS = 1_000_000
-# the most requests per simulated row: the largest count the multinomial draw
-# takes (int64)
-MAX_REQUESTS = 2**63 - 1
 
 
 def parse_grid(text: str) -> list[float]:
@@ -196,9 +193,9 @@ def cmd_thresholds(cfg: dict, args):
 
 
 def cmd_simulate(cfg: dict, args):
-    if not 2 <= args.requests <= MAX_REQUESTS:
+    if not 2 <= args.requests <= simulator.MAX_REQUESTS:
         raise ValueError(f"--requests {args.requests}: need at least two requests "
-                         f"and at most {MAX_REQUESTS}")
+                         f"and at most {simulator.MAX_REQUESTS}")
     n = cfg["fragments_per_file"]
     if not 1 <= n <= MAX_FRAGMENTS:
         raise ValueError(f"fragments_per_file {n}: need at least one fragment "

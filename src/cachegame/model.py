@@ -27,12 +27,16 @@ def _probability_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_num_files(num_files) -> None:
-    """ValueError unless num_files is a positive integer (not a bool)."""
-    if isinstance(num_files, bool) or not isinstance(num_files, numbers.Integral):
-        raise ValueError(f"num_files must be an integer, got {num_files!r}")
-    if num_files < 1:
-        raise ValueError("num_files must be >= 1")
+def _check_count(value, name: str, low: int, high: int | None = None) -> int:
+    """`value` as a Python int; ValueError naming `name` unless it is an
+    integer (numpy's pass, a bool does not) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        raise ValueError(f"{name} must be >= {low}" if high is None
+                         else f"{name} must lie in [{low}, {high}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class LibraryConfig:
     num_files: int
 
     def __post_init__(self):
-        _check_num_files(self.num_files)
+        _check_count(self.num_files, "num_files", 1)
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ class RateBreakdown:
 
 def zipf_popularity(num_files: int, exponent: float) -> PopularityDist:
     """Zipf popularity p_j proportional to 1/j^z; z = 0 gives a uniform demand."""
-    _check_num_files(num_files)
+    num_files = _check_count(num_files, "num_files", 1)
     if not 0 <= exponent < math.inf:
         raise ValueError("Zipf exponent must be finite and non-negative")
     # a large exponent overflows j^z to inf, which gives the file weight 0
@@ -186,10 +190,7 @@ def quantize_placement(placement: Placement, n: int,
     At a huge n, sum(q) can exceed M by more packets than rounding put on;
     the rest then comes off the least popular files that still hold packets.
     """
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_FRAGMENTS:
-        raise ValueError(f"n must lie in [1, {MAX_FRAGMENTS}]")
+    n = _check_count(n, "n", 1, MAX_FRAGMENTS)
     q = placement.q
     if popularity.num_files != q.size:
         raise ValueError("popularity size does not match the placement")

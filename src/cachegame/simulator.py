@@ -11,12 +11,15 @@ memory that do not depend on the number of requests.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameConfig
+from .model import GameConfig, _check_count
+
+# the most requests per call: the largest count the multinomial draw takes
+# (int64)
+MAX_REQUESTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,10 @@ def simulate(packets, cfg: GameConfig, n: int, num_requests: int,
     are one multinomial draw, deterministic per seed.  The standard error
     needs at least two requests; n*S must fit int64, so n - d*m_j never wraps.
     """
-    for name, count in (("num_requests", num_requests), ("n", n)):
-        if not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if num_requests < 2:
-        raise ValueError("need at least two requests for a standard error")
+    num_requests = _check_count(num_requests, "num_requests", 2, MAX_REQUESTS)
     gamma = cfg.coverage.gamma
-    if not 1 <= n <= (2**63 - 1) // gamma.size:
-        raise ValueError(f"n must lie in [1, (2**63 - 1) // {gamma.size}]")
+    n = _check_count(n, "n", 1, (2**63 - 1) // gamma.size)
+    seed = _check_count(seed, "seed", 0)
     m = np.asarray(packets)
     if (m.shape != (cfg.popularity.num_files,) or m.dtype.kind not in "iu"
             or not 0 <= m.min() <= m.max() <= n):

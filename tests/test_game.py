@@ -350,7 +350,7 @@ class TestSegmentTable:
             cold = equilibrium_placement(cfg).q_star.q
             assert all(np.array_equal(q, cold) for q in qs)
 
-    def test_radius_sweep_keeps_the_popularity_part(self, builds):
+    def test_each_profile_change_rebuilds_the_whole_table(self, builds):
         base = make_config(0.3, zipf_popularity(200, 0.7).probs, GAMMA_R45, 20.0)
         profiles = [base.coverage, CoverageProfile(gamma=[0.4, 0.3, 0.2, 0.1])]
         for coverage in profiles * 3:

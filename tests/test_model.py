@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cachegame import (CoverageProfile, GameConfig, LibraryConfig, Placement,
-                       PopularityDist, quantize_placement, zipf_popularity)
+                       PopularityDist, quantize_placement, simulate,
+                       zipf_popularity)
 from cachegame.model import CONFIG_KEYS, MAX_FRAGMENTS, load_config
 
 # head probability of the Zipf law for N=200, z=0.7, frozen from a
@@ -219,6 +220,46 @@ class TestTypes:
         p = zipf_popularity(5, 1.0)
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
+
+
+def _simulated(n=3, num_requests=3, seed=3):
+    """The report of a 3-file simulation as plain numbers."""
+    cfg = GameConfig(alpha=0.5, library=LibraryConfig(num_files=3),
+                     popularity=zipf_popularity(3, 0.7),
+                     coverage=CoverageProfile(gamma=[0.5, 0.5]), cache_size=1.5)
+    report = simulate(np.array([2, 1, 0]), cfg, n, num_requests, seed=seed)
+    return (report.requests, report.backhaul_fraction_mean,
+            report.per_coverage_counts.tolist())
+
+
+# every integer count the library takes, by the name its errors give it;
+# each gives a plain value to compare at the count 3
+COUNT_INPUTS = {
+    "library_num_files": ("num_files", lambda v: LibraryConfig(num_files=v).num_files),
+    "zipf_num_files": ("num_files", lambda v: zipf_popularity(v, 0.7).probs.tolist()),
+    "quantize_n": ("n", lambda v: quantize_placement(
+        Placement(q=[0.5, 0.5, 0.5], cache_size=1.5), v,
+        zipf_popularity(3, 0.7)).tolist()),
+    "simulate_n": ("n", lambda v: _simulated(n=v)),
+    "simulate_num_requests": ("num_requests", lambda v: _simulated(num_requests=v)),
+    "simulate_seed": ("seed", lambda v: _simulated(seed=v)),
+}
+
+
+@pytest.mark.parametrize("name, call", COUNT_INPUTS.values(), ids=COUNT_INPUTS.keys())
+class TestCountContract:
+    # True served one fragment per file and seeded the simulator with 1;
+    # a float seed raised numpy's TypeError
+    @pytest.mark.parametrize("value", [True, np.True_, 2.5, np.float64(3.0), "3"],
+                             ids=["bool", "numpy_bool", "float", "numpy_float", "str"])
+    def test_rejects_what_is_not_an_integer(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)],
+                             ids=["int64", "uint8"])
+    def test_numpy_integers_pass(self, name, call, value):
+        assert call(value) == call(3)
 
 
 # a mixed strategy of the adversaries is a PopularityDist too, rated by legit_rate

@@ -10,7 +10,7 @@ from cachegame import (CoverageProfile, GameConfig,
                        coverage_profile, equilibrium_placement, evaluate,
                        legit_rate, quantize_placement, simulate, total_rate,
                        zipf_popularity)
-from cachegame import cli
+from cachegame import simulator
 from coverage_oracle import coverage_areas_unit_cell
 from request_simulator import simulate_requests
 
@@ -94,7 +94,7 @@ class TestSimulate:
         cfg = make_config(0.2)
         # one request has no standard error either
         for num_requests in (0, 1):
-            with pytest.raises(ValueError, match="two requests"):
+            with pytest.raises(ValueError, match="num_requests must lie in \\[2, "):
                 simulate(np.zeros(20, dtype=int), cfg, 100, num_requests, seed=1)
         # 1e5 reported 100000.0 requests; 2.5 failed on the coverage counts
         for num_requests in (2.5, 1e5):
@@ -199,10 +199,10 @@ class TestSimulate:
         cfg = make_config(0.5)
         pl = Placement(q=np.linspace(0.4, 0.0, 20), cache_size=4.0)
         m = quantize_placement(pl, 10, cfg.popularity)
-        report = simulate(m, cfg, 10, cli.MAX_REQUESTS, seed=5)
-        assert report.per_coverage_counts.sum() == cli.MAX_REQUESTS
-        with pytest.raises(OverflowError):
-            simulate(m, cfg, 10, cli.MAX_REQUESTS + 1, seed=5)
+        report = simulate(m, cfg, 10, simulator.MAX_REQUESTS, seed=5)
+        assert report.per_coverage_counts.sum() == simulator.MAX_REQUESTS
+        with pytest.raises(ValueError, match="num_requests must lie in"):
+            simulate(m, cfg, 10, simulator.MAX_REQUESTS + 1, seed=5)
 
 
 class TestAgainstRequestOracle:
