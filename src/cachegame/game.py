@@ -23,7 +23,12 @@ Allocation Problems, 1988):
   is ordered by popularity, with ties in index order.
 - Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
   V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
-  max(M - N mu, 0) over the parts of the segments that lie above mu.
+  max(M - N mu, 0) over the parts of the segments that lie above mu.  A
+  file's segments sort in increasing q and a level's in popularity order,
+  so a fill covers each file's levels from the bottom up and each level's
+  first files: read in popularity order, q is a staircase of at most
+  S + 2 runs, one per top filled level, one for the partial segment and
+  one at mu.
 - Floor.  V is convex with right derivative
   V'(mu+) = -a c_k + (1-a) c_k G(lam / c_k), G(x) = sum_j max(x - p_j, 0),
   where k is the level that contains (mu, mu + eps) and lam the weight of
@@ -51,16 +56,26 @@ Allocation Problems, 1988):
   Python numbers and bisects a level's column, about log2 N steps, only on
   the levels it visits.  The heavy length is summed exactly, in integers
   over one power-of-two denominator, and rounded once, so q* has the same
-  bits on every CPU and BLAS build.  The running sums cover a window of N
-  segments, doubled while the budget lies past its end; the segments that
-  start below the budget are filled, all whole but the last, and summed
-  per file.  So a solve makes a fixed few numpy calls, whatever N is, and
-  the floor none.  q*(alpha) is piecewise constant, so the slot also keeps
-  the last solve and the last one at alpha = 0, the no-adversary optimum,
-  on those objects.  A call on the piece of either (an equal M, a floor
-  with the same bits, and the entry's heavy count or both past the
-  segments it filled) reuses its fill, placement, best response and
-  rates, and mixes only the rates by its own alpha.
+  bits on every CPU and BLAS build.  A floor strictly inside its level
+  solves that level's equation, so the budget is the heavy length and
+  every heavy segment fills whole: the floor's per-level counts are the
+  runs, with no running sums.  A floor on a level end (a level start, or
+  the end of its own level) has running sums over a window of N segments,
+  doubled while the budget lies past its end; the segments that start
+  below the budget are filled, all whole but the last, and one bincount of
+  their levels gives the runs and the one partial file.  Each run's value
+  is mu plus its levels' lengths, added bottom up as a per-file sum of the
+  fills would add them, and its popularity mass a difference of two P_m;
+  q* is written run by run through the popularity order, and legit_rate
+  reads the runs in O(S).  So a solve makes a fixed few numpy calls and
+  few passes over the N files (writing q*, Placement's checks and the best
+  response), whatever N is, and the floor none.  q*(alpha) is piecewise
+  constant, so the slot also keeps the last solve and the last one at
+  alpha = 0, the no-adversary optimum, on those objects.  A call on the
+  piece of either (an equal M, a floor with the same bits, and the entry's
+  heavy count or both past the segments it filled) reuses its fill,
+  placement, best response and rates, and mixes only the rates by its own
+  alpha.
   with_alpha and dataclasses.replace share the objects, so an alpha or cache
   sweep hits; a replaced coverage, or a config built afresh from equal
   vectors, builds its own table.  The slot is one immutable record that a
@@ -72,6 +87,7 @@ Allocation Problems, 1988):
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -113,11 +129,13 @@ def best_response(placement: Placement) -> int:
     return int(placement.q.argmin())
 
 
-def _rate(placement: Placement, cfg: GameConfig) -> tuple[int, RateBreakdown]:
-    """evaluate, plus the adversaries' target j_star."""
+def _rate(placement: Placement, cfg: GameConfig,
+          runs=None) -> tuple[int, RateBreakdown]:
+    """evaluate, plus the adversaries' target j_star; legit_rate reads the
+    placement's runs when they are given."""
     j_star = best_response(placement)
     return j_star, total_rate(cfg.alpha,
-                              legit_rate(placement, cfg.popularity, cfg.coverage),
+                              legit_rate(placement, cfg.popularity, cfg.coverage, runs),
                               adversary_rate(placement, cfg.coverage, j_star))
 
 
@@ -132,13 +150,17 @@ class _Segments:
 
     Every field is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
     per unit of popularity; hi[k] and its width hi[k] - lo[k] are exactly
-    hi_exact[k] / scale and width_exact[k] / scale.  Sorted segment i
-    belongs to file owner[i] and level segment[i + 1]; segment[0] is S, a
-    level of length 0 that starts the running sums.  columns views the
-    negated weights -p_j c_l level by level, each level's N in popularity
-    order, so ascending within a level.  cumprobs[m - 1] = P_m, the sum of
-    the m smallest probabilities; N is its size.  steps views the running
-    maximum of the steps g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
+    hi_exact[k] / scale and width_exact[k] / scale.  order lists the files
+    most popular first, ties in index order.  Sorted segment i belongs to
+    level segment[i + 1]; segment[0] is S, a level of length 0 that starts
+    the running sums.  No per-segment file index is kept: each level's
+    segments sort in popularity order, so a fill's segments of a level
+    belong to the first files of order.  columns views the negated weights
+    -p_j c_l level by level, each level's N in popularity order, so
+    ascending within a level.  cumprobs views P_m, the sum of the m
+    smallest probabilities, at index m - 1; N is its length.  steps views
+    the running maximum of the steps g_m = m p_(m+1) - P_m, m = 1 .. N-1,
+    p ascending.
     """
 
     c: tuple[float, ...]
@@ -147,10 +169,10 @@ class _Segments:
     hi_exact: tuple[int, ...]
     width_exact: tuple[int, ...]
     scale: int
-    owner: np.ndarray
+    order: np.ndarray
     segment: np.ndarray
     columns: memoryview
-    cumprobs: np.ndarray
+    cumprobs: memoryview
     steps: memoryview
 
 
@@ -168,22 +190,21 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     # the stable sort merges the S ascending levels, and ties come out level
     # by level; re-sorting each tie by file, then level, gives the order of
     # one stable sort over the weights laid out file by file
-    order = np.argsort(columns, kind="stable")
-    level = order // n
-    position = order - level * n
-    weights = columns[order]
+    merged = np.argsort(columns, kind="stable")
+    level = merged // n
+    position = merged - level * n
+    weights = columns[merged]
     tied = weights[1:] == weights[:-1]
     if tied.any():
         tie = np.concatenate(([0], np.cumsum(~tied)))
         regroup = np.argsort((tie * n + position) * s + level, kind="stable")
-        level, position = level[regroup], position[regroup]
-    owner = by_popularity[position]
+        level = level[regroup]
     segment = np.concatenate(([s], level))
     # the ascending probabilities, so the sums of np.sort(probs) bit for bit
     ascending = descending[::-1]
     cumprobs = ascending.cumsum()
     steps = np.maximum.accumulate(np.arange(1.0, n) * ascending[1:] - cumprobs[:-1])
-    for array in (columns, owner, segment, cumprobs, steps):
+    for array in (columns, by_popularity, segment, cumprobs, steps):
         array.setflags(write=False)
     # every float is an integer over a power of two, so the largest
     # denominator is a multiple of all the others
@@ -192,8 +213,8 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     exact = tuple(num * (scale // den) for num, den in ratios)
     return _Segments(c=tuple(c.tolist()), lo=tuple(lo), hi=tuple(hi),
                      hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
-                     owner=owner, segment=segment, columns=memoryview(columns),
-                     cumprobs=cumprobs, steps=memoryview(steps))
+                     order=by_popularity, segment=segment, columns=memoryview(columns),
+                     cumprobs=memoryview(cumprobs), steps=memoryview(steps))
 
 
 def _water_level(t: _Segments, alpha: float) -> float:
@@ -206,13 +227,16 @@ def _water_level(t: _Segments, alpha: float) -> float:
     a = alpha / (1.0 - alpha)
     # index i holds rank m = i + 1, and i = N - 1 when no step reaches a
     i = bisect.bisect_left(t.steps, a)
-    return (a + t.cumprobs.item(i)) / (i + 1)
+    return (a + t.cumprobs[i]) / (i + 1)
 
 
-def _floor(t: _Segments, alpha: float, cache: float) -> tuple[float, int]:
+def _floor(t: _Segments, alpha: float,
+           cache: float) -> tuple[float, int, list[int], int]:
     """The closed-form floor mu of the module docstring on the segment table
-    t, and the number of heavy segments, a prefix of the sorted order."""
-    n, s = t.cumprobs.size, len(t.c)
+    t; the number of heavy segments, a prefix of the sorted order; the heavy
+    segments of each level, the first files of the popularity order; and
+    the level k of the floor."""
+    n, s = len(t.cumprobs), len(t.c)
     c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
     x_a = _water_level(t, alpha)
     for k in range(s):                            # levels, increasing q
@@ -228,39 +252,71 @@ def _floor(t: _Segments, alpha: float, cache: float) -> tuple[float, int]:
               else lo[k] if used >= cache else math.inf)
         if mu <= hi[k]:
             break
-    return mu, sum(count)
+    return mu, sum(count), count, k
 
 
-def _fill(t: _Segments, mu: float, heavy: int, cache: float) -> tuple[np.ndarray, int]:
+def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
+          cache: float) -> tuple[np.ndarray, list[tuple[float, float]], int]:
     """The greedy fill of the budget M - N mu over the first `heavy` sorted
-    segments, above mu, and the number of segments it fills.  Equal weights
-    fill in popularity order, ties in index order, so q is non-increasing in
-    it."""
-    n = t.cumprobs.size
-    budget = cache - n * mu
-    # each level's length above mu, then a 0.0 for level s, which leads the
-    # sorted segments
-    level_length = np.array([max(h - max(l, mu), 0.0) for l, h in zip(t.lo, t.hi)]
-                            + [0.0])
-    # the fill ends at the first segment that starts at or past the budget
-    # (at once if M - N*mu came out as -eps); the rest would add 0.0.  cumsum
-    # adds in order, so a window's running sums are the first ones of the
-    # whole heavy prefix, bit for bit, and the window doubles only while
-    # every segment in it starts below the budget
-    size = min(heavy, n)
-    while True:
-        length = level_length[t.segment[:size + 1]]
-        start = length[:-1].cumsum()              # 0.0, then the running sums
-        cut = int(start.searchsorted(budget))
-        if cut < size or size == heavy:
-            break
-        size = min(2 * size, heavy)
-    # only the last filled segment can be partial: before it fl(start[i] +
-    # length[i + 1]) < budget, so fl(budget - start[i]) >= length[i + 1]
-    fill = length[1:cut + 1]
-    if cut:
-        fill[-1] = min(budget - start.item(cut - 1), fill.item(-1))
-    return mu + np.bincount(t.owner[:cut], weights=fill, minlength=n), cut
+    segments, above mu, on the floor (mu, heavy, count, k) of _floor: q, its
+    runs in popularity order, each (value, popularity mass), and the number
+    of segments the fill covers.  Equal weights fill in popularity order,
+    ties in index order, so q is non-increasing in it."""
+    n, s = len(t.cumprobs), len(t.c)
+    # each level's length above mu
+    lengths = [max(h - max(l, mu), 0.0) for l, h in zip(t.lo, t.hi)]
+    partial = None
+    if t.lo[k] < mu < t.hi[k]:
+        # the floor's equation makes the budget the heavy length: every heavy
+        # segment fills whole, and count gives each level's filled files
+        filled, cut = count, heavy
+    else:
+        # the floor sits on a level end.  The fill ends at the first segment
+        # that starts at or past the budget (at once if M - N*mu came out as
+        # -eps); the rest would add 0.0.  cumsum adds in order, so a window's
+        # running sums are the first ones of the whole heavy prefix, bit for
+        # bit, and the window doubles only while every segment in it starts
+        # below the budget; a 0.0 for level s leads the sorted segments
+        budget = cache - n * mu
+        level_length = np.array(lengths + [0.0])
+        size = min(heavy, n)
+        while True:
+            length = level_length[t.segment[:size + 1]]
+            start = length[:-1].cumsum()          # 0.0, then the running sums
+            cut = int(start.searchsorted(budget))
+            if cut < size or size == heavy:
+                break
+            size = min(2 * size, heavy)
+        filled = np.bincount(t.segment[1:cut + 1], minlength=s).tolist()
+        # only the last filled segment can be partial: before it fl(start[i] +
+        # length[i + 1]) < budget, so fl(budget - start[i]) >= length[i + 1]
+        if cut:
+            level = int(t.segment[cut])
+            partial = level, min(budget - start.item(cut - 1), lengths[level])
+    # A file fills its levels from the bottom up, each level's filled files
+    # are the first of the popularity order, and only the last filled
+    # segment is partial.  So q in popularity order is a staircase: the
+    # files whose top filled level is l hold mu plus the lengths of levels
+    # 0 .. l, summed in that order as a per-file sum of the fills would be,
+    # then the rest hold mu; the partial file ends its level's run.
+    sums = list(itertools.accumulate(lengths, initial=0.0))
+    values = [mu + v for v in reversed(sums)]
+    counts = [*map(operator.sub, reversed(filled), [0, *reversed(filled[1:])]),
+              n - filled[0]]
+    if partial is not None:
+        level, fill = partial
+        counts[s - 1 - level] -= 1
+        values.insert(s - level, mu + (sums[level] + fill))
+        counts.insert(s - level, 1)
+    # a run's mass is a difference of the sums of the smallest probabilities
+    q, runs, end, above = np.empty(n), [], 0, t.cumprobs[n - 1]
+    for value, size in zip(values, counts):
+        end += size
+        below = t.cumprobs[n - end - 1] if end < n else 0.0
+        q[t.order[end - size:end]] = value
+        runs.append((value, above - below))
+        above = below
+    return q, runs, cut
 
 
 class _Cache:
@@ -294,13 +350,17 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
         table = _segments(popularity.probs, coverage.gamma)
         record = popularity, coverage, table, None, None
     t = record[2]
-    mu, heavy = _floor(t, cfg.alpha, cache)
-    # The reuse is exact.  _fill sees alpha only through (mu, heavy), and mu
-    # is never NaN or -0.0, so == compares its bits.  The running sums are
-    # sequential, so they do not depend on the length of the heavy prefix:
-    # two prefixes that both reach past an entry's cut stop at that same cut
-    # and fill alike.  j_star and both rates read only q, the popularity and
-    # the coverage, so only their alpha mix changes.
+    mu, heavy, count, k = _floor(t, cfg.alpha, cache)
+    # The reuse is exact.  _fill sees alpha only through (mu, heavy), count
+    # and k being the levels of the heavy prefix and, inside a level, the
+    # level of mu; mu is never NaN or -0.0, so == compares its bits, and it
+    # alone picks the path.  Inside a level every heavy segment fills, the
+    # cut is the heavy count, and only an equal count reuses the entry.  On
+    # a level end the running sums are sequential, so they do not depend on
+    # the length of the heavy prefix: two prefixes that both reach past an
+    # entry's cut stop at that same cut and fill alike.  j_star and both
+    # rates read only q, the popularity and the coverage (the runs are q's),
+    # so only their alpha mix changes.
     for entry in record[3:]:
         if (entry is not None and (cache, mu) == entry[:2]
                 and (heavy == entry[2] or entry[3] < min(heavy, entry[2]))):
@@ -309,9 +369,9 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
             rates = total_rate(cfg.alpha, rates.r_legit, rates.r_adv)
             break
     else:
-        q, cut = _fill(t, mu, heavy, cache)
+        q, runs, cut = _fill(t, mu, heavy, count, k, cache)
         placement = Placement(q=q, cache_size=cache)
-        j_star, rates = _rate(placement, cfg)
+        j_star, rates = _rate(placement, cfg, runs)
         entry = cache, mu, heavy, cut, placement, j_star, rates
         _last_solve.record = (*record[:3], entry,
                               entry if cfg.alpha == 0.0 else record[4])
@@ -334,7 +394,7 @@ def worst_case_rate(cfg: GameConfig) -> float:
     h(M/N) = sum_d gamma_d max(1 - d M/N, 0), read off the coverage's curve.
     """
     level = min(cfg.cache_size / cfg.popularity.num_files, 1.0)
-    return float(cfg.coverage.deficit(level))
+    return cfg.coverage.deficit_at(level)
 
 
 def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:

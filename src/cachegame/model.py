@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -73,7 +74,9 @@ class CoverageProfile:
     backhaul.  h is linear between the knots 0, 1/S, ..., 1/2, 1, and the
     profile keeps it as a curve, built once with the profile: its value at
     each knot, the S products summed by math.fsum, in read-only arrays
-    beside gamma that are not dataclass fields.  `deficit` interpolates it.
+    beside gamma that are not dataclass fields, and as tuples with the
+    slope of each piece.  `deficit` interpolates it, `deficit_at` reads it
+    at one float.
     """
 
     gamma: np.ndarray
@@ -82,10 +85,14 @@ class CoverageProfile:
         gamma = _probability_vector(self.gamma, "gamma")
         object.__setattr__(self, "gamma", gamma)
         coefficients = list(enumerate(gamma.tolist(), start=1))
-        knots = np.array([0.0, *(1.0 / k for k in range(gamma.size, 0, -1))])
-        values = np.array([math.fsum([g * (1.0 - d * x) for d, g in coefficients
-                                      if d * x < 1.0]) for x in knots.tolist()])
-        for name, array in (("_knots", knots), ("_deficits", values)):
+        knots = [0.0, *(1.0 / k for k in range(gamma.size, 0, -1))]
+        values = [math.fsum([g * (1.0 - d * x) for d, g in coefficients if d * x < 1.0])
+                  for x in knots]
+        # np.interp's slope of each piece, term for term
+        slopes = [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1
+                  in zip(knots, knots[1:], values, values[1:])]
+        object.__setattr__(self, "_curve", (tuple(knots), tuple(values), tuple(slopes)))
+        for name, array in (("_knots", np.array(knots)), ("_deficits", np.array(values))):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -93,6 +100,18 @@ class CoverageProfile:
         """h(q) for a scalar or an array of q in [0, 1]: the stored knot
         value at each knot, within rounding of the S-term sum between them."""
         return np.interp(q, self._knots, self._deficits)
+
+    def deficit_at(self, x: float) -> float:
+        """h(x) at one float, the bits of `deficit(x)` without numpy: one
+        bisection over the knots and np.interp's formula, the slope times
+        the distance to the knot x_j at or below x plus h(x_j); the first
+        or the last knot value at or past either end."""
+        knots, values, slopes = self._curve
+        if 0.0 < x < 1.0:
+            j = bisect.bisect_right(knots, x) - 1
+            return slopes[j] * (x - knots[j]) + values[j]
+        # NaN stays NaN, as in np.interp
+        return values[0] if x <= 0.0 else values[-1] if x >= 1.0 else x
 
     @property
     def max_coverage(self) -> int:

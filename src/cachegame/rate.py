@@ -4,22 +4,33 @@ A user covered by d SBSs receives d*q_j of the requested file from the
 caches; the MBS sends the deficit max(1 - d*q_j, 0) over the backhaul.
 Averaged over the coverage profile, a request for file j costs h(q_j),
 which both rates read off the profile's deficit curve
-(`CoverageProfile.deficit`), the one definition of h; no S x N matrix is
-built.  Rates are normalized per request and per file.
+(`CoverageProfile.deficit`, or `deficit_at` at one float), the one
+definition of h; no S x N matrix is built.  Rates are normalized per request
+and per file.
 """
 
 from __future__ import annotations
+
+import math
 
 from .model import (CoverageProfile, Placement, PopularityDist, RateBreakdown,
                     PROB_TOL)
 
 
 def legit_rate(placement: Placement, popularity: PopularityDist,
-               coverage: CoverageProfile) -> float:
+               coverage: CoverageProfile, runs=None) -> float:
     """Average backhaul rate of users requesting by `popularity` or a mixed
-    strategy, sum_j p_j h(q_j)."""
+    strategy, sum_j p_j h(q_j).
+
+    `runs`, when given, lists the placement as (value, mass) pairs: a run
+    of files that all hold `value`, and the popularity mass of those files.
+    The rate is then math.fsum of mass * h(value), with no pass over the
+    files; the equilibrium solver passes the runs of q*, at most S + 2.
+    """
     if popularity.num_files != placement.num_files:
         raise ValueError("popularity size does not match the placement")
+    if runs is not None:
+        return math.fsum([mass * coverage.deficit_at(value) for value, mass in runs])
     return float(coverage.deficit(placement.q) @ popularity.probs)
 
 
@@ -32,7 +43,7 @@ def adversary_rate(placement: Placement, coverage: CoverageProfile,
         raise ValueError(f"target must be an integer file index, got {target!r}")
     if not 0 <= target < placement.num_files:
         raise ValueError("target file out of range")
-    return float(coverage.deficit(placement.q.item(target)))
+    return coverage.deficit_at(placement.q.item(target))
 
 
 def total_rate(alpha: float, r_legit: float, r_adv: float) -> RateBreakdown:

@@ -5,7 +5,10 @@ the segment order is sorted per call, the water level x_a is read at the
 first rank whose step reaches a/(1-a), found by a boolean `argmax`, the heavy
 segments are counted by one `searchsorted` per level column, the floor loop
 reads numpy scalars, and the length the heavy segments fill is summed as an
-exact `Fraction`, rounded once to a float.  The greedy of `cachegame.game`,
+exact `Fraction`, rounded once to a float.  A floor strictly inside its
+level solves the floor's equation, which makes the budget the heavy length,
+so every heavy segment fills whole; on a level end the budget is filled by
+running sums, the last segment clipped.  The greedy of `cachegame.game`,
 `game._fill(t, *game._floor(t, alpha, M), M)[0]` on the segment table t,
 must return the same bits on every input; the tests compare the two with
 `np.array_equal`.
@@ -56,9 +59,12 @@ def greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
         if mu <= hi[k]:
             break
     heavy = count[k].sum()
-    # in floating point M - N*mu can come out as -eps
-    budget = max(cache - n * mu, 0.0)
     length = np.maximum(hi - np.maximum(lo, mu), 0.0)[segment[:heavy]]
-    end = np.cumsum(length)
-    fill = np.clip(budget - np.concatenate(([0.0], end[:-1])), 0.0, length)
+    if lo[k] < mu < hi[k]:
+        fill = length
+    else:
+        # in floating point M - N*mu can come out as -eps
+        budget = max(cache - n * mu, 0.0)
+        end = np.cumsum(length)
+        fill = np.clip(budget - np.concatenate(([0.0], end[:-1])), 0.0, length)
     return mu + np.bincount(owner[:heavy], weights=fill, minlength=n)

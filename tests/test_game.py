@@ -80,6 +80,36 @@ def tiny_alpha_config():
     return make_config(1e-20, [0.9, 0.1], [0.1, 0.9], 1.5)
 
 
+def assert_rates_match_evaluate(res, cfg):
+    """The solve's rates against `evaluate` of its placement: the best
+    response and the adversary rate bit for bit; the solve reads the legit
+    rate off the runs of q*, so it and the total within 2 N 2^-53."""
+    rates, bound = evaluate(res.q_star, cfg), 2 * cfg.library.num_files * 2.0**-53
+    assert (best_response(res.q_star), rates.r_adv) == (res.j_star, res.rates.r_adv)
+    assert abs(rates.r_legit - res.rates.r_legit) <= bound
+    assert abs(rates.r_total - res.rates.r_total) <= bound
+
+
+def exact_sum(values):
+    """The exact sum of floats or Fractions with power-of-two denominators,
+    as a Fraction, added in integers over the largest denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max((den for _, den in ratios), default=1)
+    return Fraction(sum(num * (scale // den) for num, den in ratios), scale)
+
+
+def exact_legit_rate(q, probs, gamma):
+    """sum_j p_j h(q_j) in exact arithmetic, h(x) = sum_d gamma_d max(1 - d x, 0)
+    from the float gamma, grouped by the distinct entries of q."""
+    total = Fraction(0)
+    for value in np.unique(q).tolist():
+        x = Fraction(value)
+        h = exact_sum([Fraction(g) * (1 - d * x)
+                       for d, g in enumerate(gamma.tolist(), start=1) if d * x < 1])
+        total += h * exact_sum(probs[q == value].tolist())
+    return total
+
+
 def brute_force_value(probs, gamma, cache, alpha, step=0.02):
     """Exhaustive grid search over the feasible placements.
 
@@ -175,7 +205,7 @@ class TestEquilibriumPlacement:
         q = res.q_star.q
         assert res.j_star in np.flatnonzero(q == q.min())
         # the solver's own rate evaluation and `evaluate` must not drift apart
-        assert evaluate(res.q_star, cfg) == res.rates
+        assert_rates_match_evaluate(res, cfg)
         assert res.rates.r_adv >= res.rates.r_legit - 1e-12
 
     def test_matches_brute_force_on_small_instances(self):
@@ -231,7 +261,7 @@ class TestEquilibriumPlacement:
             _, oracle = lp_equilibrium(cfg, tol=1e-9)
             res = equilibrium_placement(cfg)
             assert abs(res.rates.r_total - oracle) <= 1e-12, (k, cfg.alpha, cfg.cache_size)
-            assert evaluate(res.q_star, cfg) == res.rates, k
+            assert_rates_match_evaluate(res, cfg)
             # non-increasing in popularity order, ties in index order
             by_popularity = np.argsort(-cfg.popularity.probs, kind="stable")
             assert np.all(np.diff(res.q_star.q[by_popularity]) <= 0.0), k
@@ -568,8 +598,9 @@ class TestGreedyOracle:
                 "fused_sum": cls.fused_sum_configs, "large": cls.large_configs,
                 "window": cls.window_configs}[source]()
 
-    @pytest.mark.parametrize("source", ["random", "tie_heavy", "tiny_alpha", "fused_sum",
-                                        "large", "window"])
+    SOURCES = ["random", "tie_heavy", "tiny_alpha", "fused_sum", "large", "window"]
+
+    @pytest.mark.parametrize("source", SOURCES)
     def test_bit_identical(self, source):
         cases = self.cases(source)
         for k, cfg in enumerate(cases):
@@ -599,15 +630,77 @@ class TestGreedyOracle:
             by_popularity = np.argsort(-probs, kind="stable")
             order = np.argsort(np.outer(-c, probs[by_popularity]).T.ravel(),
                                kind="stable")
-            assert np.array_equal(t.owner, by_popularity[order // s])
+            # each level's segments sort in popularity order, so the order
+            # of the files and the level of each sorted segment give it
+            assert np.array_equal(t.order, by_popularity)
             assert np.array_equal(t.segment, np.append(s, order % s))
+            for level in range(s):
+                assert np.array_equal(order[order % s == level] // s, np.arange(probs.size))
 
     def test_the_window_grows_past_n(self):
         for cfg in self.window_configs():
             t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
-            mu, heavy = game._floor(t, cfg.alpha, cfg.cache_size)
-            cut = game._fill(t, mu, heavy, cfg.cache_size)[1]
+            mu, heavy, count, k = game._floor(t, cfg.alpha, cfg.cache_size)
+            assert mu == t.lo[k]
+            cut = game._fill(t, mu, heavy, count, k, cfg.cache_size)[2]
             assert 2 * cfg.library.num_files < cut < heavy
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_runs_of_the_fill(self, source):
+        """q* in popularity order is a staircase of at most S + 2 values; on
+        a floor strictly inside its level every file sits at mu or at mu
+        plus whole level lengths, and the files at or above level l's value
+        are its heavy segments."""
+        interior = 0
+        for k, cfg in enumerate(self.cases(source)):
+            t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
+            mu, heavy, count, level = game._floor(t, cfg.alpha, cfg.cache_size)
+            q, runs, _ = game._fill(t, mu, heavy, count, level, cfg.cache_size)
+            s = cfg.coverage.max_coverage
+            assert np.unique(q).size <= s + 2, (source, k)
+            staircase = q[t.order]
+            assert np.all(np.diff(staircase) <= 0.0), (source, k)
+            # the runs descend and hold every entry of q
+            values = [value for value, _ in runs]
+            assert values == sorted(values, reverse=True), (source, k)
+            assert set(values) >= set(q.tolist()), (source, k)
+            if not t.lo[level] < mu < t.hi[level]:
+                continue
+            interior += 1
+            lengths = [t.hi[level] - mu, *np.subtract(t.hi, t.lo)[level + 1:].tolist()]
+            tops = [mu + v for v in itertools.accumulate(lengths)]
+            assert set(q.tolist()) <= {mu, *tops}, (source, k)
+            for l, top in zip(range(level, s), tops):
+                assert np.count_nonzero(q >= top) == count[l], (source, k, l)
+        assert interior > 0 or source in ("tiny_alpha", "window")
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_legit_rate_with_and_without_runs(self, source):
+        # both within N 2^-53 of the exact sum of p_j h(q_j)
+        for k, cfg in enumerate(self.cases(source)):
+            probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
+            t = game._segments(probs, gamma)
+            q, runs, _ = game._fill(t, *game._floor(t, cfg.alpha, cfg.cache_size),
+                                    cfg.cache_size)
+            placement = Placement(q=q, cache_size=cfg.cache_size)
+            exact = exact_legit_rate(placement.q, probs, gamma)
+            bound = Fraction(probs.size, 2**53)
+            for got in (legit_rate(placement, cfg.popularity, cfg.coverage, runs),
+                        legit_rate(placement, cfg.popularity, cfg.coverage)):
+                assert abs(Fraction(got) - exact) <= bound, (source, k)
+
+    def test_the_table_holds_no_file_index_per_segment(self):
+        for cfg in self.random_configs()[::40] + [reference_config()]:
+            probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
+            t = game._segments(probs, gamma)
+            n, s = probs.size, gamma.size
+            # the one integer array of S N entries holds levels, not files
+            arrays = {name: value for name, value in vars(t).items()
+                      if isinstance(value, np.ndarray) and value.dtype.kind in "iu"}
+            assert sorted(arrays) == ["order", "segment"]
+            assert arrays["order"].size == n
+            assert arrays["segment"].size == s * n + 1
+            assert int(arrays["segment"].max()) <= s
 
 
 class TestSolveSlot:

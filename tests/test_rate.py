@@ -172,6 +172,32 @@ class TestDeficitCurve:
                     cov.gamma, x)
                 assert cov.deficit(x) == h
 
+    def test_one_point_has_the_bits_of_np_interp(self):
+        # S = 1..5, at every knot, one ulp either side of each, at 0 and 1
+        # and at 2 000 random points
+        rng = np.random.default_rng(2304)
+        for k in range(300):
+            gamma = rng.dirichlet(np.ones(k % 5 + 1))
+            if gamma.size > 1 and k % 3 == 0:
+                gamma[0] = 0.0
+                gamma /= gamma.sum()
+            cov = CoverageProfile(gamma=gamma)
+            knots = cov._knots
+            points = np.concatenate((knots, np.nextafter(knots, -np.inf),
+                                     np.nextafter(knots, np.inf), [0.0, 1.0],
+                                     rng.random(2000)))
+            want = np.interp(points, knots, cov._deficits).tolist()
+            got = [cov.deficit_at(x) for x in points.tolist()]
+            assert got == want, gamma
+            assert all(type(h) is float for h in got)
+
+    def test_one_point_at_the_ends(self):
+        cov = CoverageProfile(gamma=[0.5, 0.3, 0.2])
+        # np.interp holds the first and the last value past either end
+        for x in (-1.0, -0.0, 0.0, 1.0, 1.5, math.inf, -math.inf):
+            assert cov.deficit_at(x) == float(cov.deficit(x)), x
+        assert math.isnan(cov.deficit_at(math.nan))
+
     def test_curve_is_read_only_and_not_a_field(self):
         cov = CoverageProfile(gamma=[0.5, 0.3, 0.2])
         assert [f.name for f in dataclasses.fields(CoverageProfile)] == ["gamma"]
