@@ -15,12 +15,13 @@ Allocation Problems, 1988):
 - Per-file segments.  With c_k = sum_{d<=k} d gamma_d, h falls at rate c_k
   on segment k, [1/(k+1), 1/k] (segment S starts at 0), so segment k of file
   j weighs w_jk = p_j c_k.  All S*N segments are sorted once by weight,
-  descending and stable, with the files laid out by popularity (ties in
-  index order) and each file's segments in increasing q; the order depends
-  on neither alpha, mu nor M, so it is built once per pair of popularity
-  and coverage objects and reused by every solve of a sweep.  So a more
-  popular file never holds less than a less popular one: the equilibrium
-  is ordered by popularity, with ties in index order.
+  descending and stable, laid out level by level in increasing q, each
+  level's files by popularity (ties in index order): equal weights fill
+  level by level, lower q first, and each level in popularity order.  The
+  order depends on neither alpha, mu nor M, so it is built once per pair of
+  popularity and coverage objects and reused by every solve of a sweep.  So
+  a more popular file never holds less than a less popular one: the
+  equilibrium is ordered by popularity, with ties in index order.
 - Value at a fixed floor mu = min q.  Since sum_j p_j = 1,
   V(mu) = h(mu) - (1-a) R(mu), where R(mu) is the greedy fill of the budget
   max(M - N mu, 0) over the parts of the segments that lie above mu.  A
@@ -153,14 +154,14 @@ class _Segments:
     hi_exact[k] / scale and width_exact[k] / scale.  order lists the files
     most popular first, ties in index order.  Sorted segment i belongs to
     level segment[i + 1]; segment[0] is S, a level of length 0 that starts
-    the running sums.  No per-segment file index is kept: each level's
-    segments sort in popularity order, so a fill's segments of a level
-    belong to the first files of order.  columns views the negated weights
-    -p_j c_l level by level, each level's N in popularity order, so
-    ascending within a level.  cumprobs views P_m, the sum of the m
-    smallest probabilities, at index m - 1; N is its length.  steps views
-    the running maximum of the steps g_m = m p_(m+1) - P_m, m = 1 .. N-1,
-    p ascending.
+    the running sums.  Equal weights sort level by level, lower q first.
+    No per-segment file index is kept: each level's segments sort in
+    popularity order, so a fill's segments of a level belong to the first
+    files of order.  columns views the negated weights -p_j c_l level by
+    level, each level's N in popularity order, so ascending within a level.
+    cumprobs views P_m, the sum of the m smallest probabilities, at index
+    m - 1; N is its length.  steps views the running maximum of the steps
+    g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
     """
 
     c: tuple[float, ...]
@@ -187,19 +188,10 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     lo = [0.0, *hi[:-1]]
     c = (np.arange(1, s + 1) * gamma).cumsum()[::-1]      # c_k of each segment
     columns = np.multiply.outer(-c, descending).ravel()
-    # the stable sort merges the S ascending levels, and ties come out level
-    # by level; re-sorting each tie by file, then level, gives the order of
-    # one stable sort over the weights laid out file by file
-    merged = np.argsort(columns, kind="stable")
-    level = merged // n
-    position = merged - level * n
-    weights = columns[merged]
-    tied = weights[1:] == weights[:-1]
-    if tied.any():
-        tie = np.concatenate(([0], np.cumsum(~tied)))
-        regroup = np.argsort((tie * n + position) * s + level, kind="stable")
-        level = level[regroup]
-    segment = np.concatenate(([s], level))
+    # the stable sort merges the S ascending levels; equal weights come out
+    # level by level, lower q first, and each level's in popularity order
+    segment = np.concatenate(([s], np.argsort(columns, kind="stable")))
+    segment[1:] //= n                             # the level of each segment
     # the ascending probabilities, so the sums of np.sort(probs) bit for bit
     ascending = descending[::-1]
     cumprobs = ascending.cumsum()
@@ -260,8 +252,9 @@ def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
     """The greedy fill of the budget M - N mu over the first `heavy` sorted
     segments, above mu, on the floor (mu, heavy, count, k) of _floor: q, its
     runs in popularity order, each (value, popularity mass), and the number
-    of segments the fill covers.  Equal weights fill in popularity order,
-    ties in index order, so q is non-increasing in it."""
+    of segments the fill covers.  Equal weights fill level by level, lower
+    q first, and each level's in popularity order, ties in index order, so
+    q is non-increasing in it."""
     n, s = len(t.cumprobs), len(t.c)
     # each level's length above mu
     lengths = [max(h - max(l, mu), 0.0) for l, h in zip(t.lo, t.hi)]

@@ -72,11 +72,10 @@ class CoverageProfile:
     A user covered by d SBSs gets d q of a file cached at q, so the MBS
     sends the deficit h(q) = sum_d gamma_d max(1 - d q, 0) over the
     backhaul.  h is linear between the knots 0, 1/S, ..., 1/2, 1, and the
-    profile keeps it as a curve, built once with the profile: its value at
-    each knot, the S products summed by math.fsum, in read-only arrays
-    beside gamma that are not dataclass fields, and as tuples with the
-    slope of each piece.  `deficit` interpolates it, `deficit_at` reads it
-    at one float.
+    profile keeps it as a curve, built once with the profile and kept beside
+    gamma, not as a dataclass field: tuples of the knots, the value at each
+    knot (the S products summed by math.fsum) and the slope of each piece.
+    `deficit` interpolates it, `deficit_at` reads it at one float.
     """
 
     gamma: np.ndarray
@@ -92,14 +91,12 @@ class CoverageProfile:
         slopes = [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1
                   in zip(knots, knots[1:], values, values[1:])]
         object.__setattr__(self, "_curve", (tuple(knots), tuple(values), tuple(slopes)))
-        for name, array in (("_knots", np.array(knots)), ("_deficits", np.array(values))):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
     def deficit(self, q):
         """h(q) for a scalar or an array of q in [0, 1]: the stored knot
         value at each knot, within rounding of the S-term sum between them."""
-        return np.interp(q, self._knots, self._deficits)
+        knots, values, _ = self._curve
+        return np.interp(q, knots, values)
 
     def deficit_at(self, x: float) -> float:
         """h(x) at one float, the bits of `deficit(x)` without numpy: one

@@ -1,7 +1,9 @@
 """Test oracle: the vectorised greedy that `cachegame.game` used to run.
 
 It is the module docstring's algorithm written with one numpy call per step:
-the segment order is sorted per call, the water level x_a is read at the
+the segment order is one stable sort per call over the weights laid out
+level by level (lower q first, each level's files in popularity order), so
+equal weights fill level by level, the water level x_a is read at the
 first rank whose step reaches a/(1-a), found by a boolean `argmax`, the heavy
 segments are counted by one `searchsorted` per level column, the floor loop
 reads numpy scalars, and the length the heavy segments fill is summed as an
@@ -42,8 +44,8 @@ def greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
     c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]      # c_k of each segment
     by_popularity = np.argsort(-probs, kind="stable")
     columns = np.outer(-c, probs[by_popularity])  # negated weights -p_j c_k
-    order = np.argsort(columns.T.ravel(), kind="stable")
-    owner, segment = np.divmod(order, s)
+    order = np.argsort(columns.ravel(), kind="stable")
+    segment, owner = np.divmod(order, n)
     owner = by_popularity[owner]
     x_a = water_level(probs, alpha)
     # count[k, l]: level-l segments weighing >= c_k x_a, all of them if c_k = 0

@@ -199,6 +199,15 @@ class TestEquilibriumPlacement:
         assert res.j_star == j_star
         assert res.rates.r_total == pytest.approx(r_total, abs=1e-12)
 
+    def test_cross_level_ties_fill_level_by_level(self):
+        # gamma_1 = gamma_2 = 0: both upper levels weigh 0 for every file, so
+        # the budget left above 1/3 fills the level [1/3, 1/2] of all six
+        # files before any file reaches [1/2, 1]; h is 0 from 1/3 on
+        cfg = make_config(0.0, zipf_popularity(6, 0.0).probs, [0.0, 0.0, 1.0], 3.0)
+        res = equilibrium_placement(cfg)
+        assert np.all(np.abs(res.q_star.q - 0.5) <= 1e-12)
+        assert (res.rates.r_legit, res.rates.r_adv) == (0.0, 0.0)
+
     def test_result_internally_consistent(self):
         cfg = reference_config(alpha=0.4)
         res = equilibrium_placement(cfg)
@@ -397,6 +406,19 @@ class TestSegmentTable:
             with pytest.raises((TypeError, ValueError)):
                 value[0] = 0
         assert table.columns.readonly
+
+    def test_the_build_holds_few_s_by_n_arrays(self):
+        # the weights, the one sort's result and the levels, plus N-long
+        # arrays: no S*N copy of the sorted weights or of file positions
+        n, s = 20_000, 4
+        probs = zipf_popularity(n, 0.7).probs
+        tracemalloc.start()
+        try:
+            game._segments(probs, GAMMA_R45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * s * n * 8
 
     def test_exact_ends_and_widths(self):
         for s in range(1, 9):
@@ -621,21 +643,33 @@ class TestGreedyOracle:
         assert np.all(probs == probs[0])
         assert equilibrium_placement(cfg).q_star.q.tolist() == [11 / 21] * 21
 
-    def test_segment_order_is_one_stable_sort_by_file(self):
-        for cfg in tie_heavy_configs()[::4] + [reference_config()]:
+    def test_segment_order_fills_ties_level_by_level(self):
+        configs = tie_heavy_configs()[::4] + self.random_configs()[::25]
+        for k, cfg in enumerate(configs + [reference_config()]):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
-            s = gamma.size
-            c = np.cumsum(np.arange(1, s + 1) * gamma)[::-1]
-            by_popularity = np.argsort(-probs, kind="stable")
-            order = np.argsort(np.outer(-c, probs[by_popularity]).T.ravel(),
-                               kind="stable")
-            # each level's segments sort in popularity order, so the order
-            # of the files and the level of each sorted segment give it
-            assert np.array_equal(t.order, by_popularity)
-            assert np.array_equal(t.segment, np.append(s, order % s))
-            for level in range(s):
-                assert np.array_equal(order[order % s == level] // s, np.arange(probs.size))
+            n, s = probs.size, gamma.size
+            assert np.array_equal(t.order, np.argsort(-probs, kind="stable"))
+            assert t.segment[0] == s
+            levels = t.segment[1:].tolist()
+            assert sorted(levels) == [l for l in range(s) for _ in range(n)], k
+            # the table keeps only levels: each level's segments appear in
+            # popularity order, so the r-th segment of level l is file order[r]
+            rank, seen = [], [0] * s
+            for l in levels:
+                rank.append(seen[l])
+                seen[l] += 1
+            c = t.c
+            descending = probs[t.order].tolist()
+            weights = [c[l] * descending[r] for l, r in zip(levels, rank)]
+            assert all(a >= b for a, b in zip(weights, weights[1:])), k
+            # on bit-equal weights the level never decreases
+            assert all(l1 <= l2 for w1, w2, l1, l2
+                       in zip(weights, weights[1:], levels, levels[1:]) if w1 == w2), k
+            # together: the weights descending, ties by level, then popularity
+            segments = sorted(itertools.product(range(s), range(n)),
+                              key=lambda lr: (-(c[lr[0]] * descending[lr[1]]), *lr))
+            assert segments == list(zip(levels, rank)), k
 
     def test_the_window_grows_past_n(self):
         for cfg in self.window_configs():

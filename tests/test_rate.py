@@ -182,11 +182,11 @@ class TestDeficitCurve:
                 gamma[0] = 0.0
                 gamma /= gamma.sum()
             cov = CoverageProfile(gamma=gamma)
-            knots = cov._knots
+            knots, values, _ = map(np.array, cov._curve)
             points = np.concatenate((knots, np.nextafter(knots, -np.inf),
                                      np.nextafter(knots, np.inf), [0.0, 1.0],
                                      rng.random(2000)))
-            want = np.interp(points, knots, cov._deficits).tolist()
+            want = np.interp(points, knots, values).tolist()
             got = [cov.deficit_at(x) for x in points.tolist()]
             assert got == want, gamma
             assert all(type(h) is float for h in got)
@@ -202,16 +202,18 @@ class TestDeficitCurve:
         cov = CoverageProfile(gamma=[0.5, 0.3, 0.2])
         assert [f.name for f in dataclasses.fields(CoverageProfile)] == ["gamma"]
         assert repr(cov) == f"CoverageProfile(gamma={cov.gamma!r})"
-        for array in (cov._knots, cov._deficits):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.5
+        # tuples of floats all the way down: nothing in the curve can change
+        assert type(cov._curve) is tuple and len(cov._curve) == 3
+        for part in cov._curve:
+            assert type(part) is tuple and all(type(v) is float for v in part)
+            with pytest.raises(TypeError):
+                part[0] = 0.5
 
     def test_replace_rebuilds_the_curve(self):
         cov = CoverageProfile(gamma=[0.5, 0.5])
         assert cov.deficit(0.25) == direct_deficit(cov.gamma, 0.25)
         point = dataclasses.replace(cov, gamma=[1.0])
-        assert point._knots.tolist() == [0.0, 1.0]
+        assert point._curve[0] == (0.0, 1.0)
         assert point.deficit(0.25) == 0.75
         assert cov.deficit(0.25) == direct_deficit(cov.gamma, 0.25)
 
