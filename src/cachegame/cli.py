@@ -7,7 +7,7 @@ must be sorted and finite.  A command that sweeps a grid builds its game
 at the grid's first point, and never reads the config's value of that key.
 The coverage profile is exact, so `--samples` is accepted but ignored.
 Exit codes: 0 success, 2 invalid configuration (a NaN or infinite value
-included).
+included, or a library too large for memory).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import game, geometry, simulator
 from .model import (CONFIG_KEYS, MAX_FRAGMENTS, GameConfig, LibraryConfig,
-                    Placement, load_config, quantize_placement, zipf_popularity)
+                    Placement, _check_count, load_config, quantize_placement,
+                    zipf_popularity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,7 +179,7 @@ def cmd_thresholds(cfg: dict, args):
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
     q_ref = game.no_adversary_placement(gcfg).q
-    uniform = min(gcfg.cache_size / gcfg.popularity.num_files, 1.0)
+    uniform = gcfg.cache_size / gcfg.popularity.num_files
     columns = _threshold_columns(np.array([res.q_star.q for res in results]),
                                  q_ref, uniform)
     r_total = [res.rates.r_total for res in results]
@@ -193,15 +194,9 @@ def cmd_thresholds(cfg: dict, args):
 
 
 def cmd_simulate(cfg: dict, args):
-    if not 2 <= args.requests <= simulator.MAX_REQUESTS:
-        raise ValueError(f"--requests {args.requests}: need at least two requests "
-                         f"and at most {simulator.MAX_REQUESTS}")
-    n = cfg["fragments_per_file"]
-    if not 1 <= n <= MAX_FRAGMENTS:
-        raise ValueError(f"fragments_per_file {n}: need at least one fragment "
-                         f"per file and at most {MAX_FRAGMENTS}")
-    if cfg["seed"] < 0:
-        raise ValueError(f"seed {cfg['seed']}: must be non-negative")
+    _check_count(args.requests, "--requests", 2, simulator.MAX_REQUESTS)
+    n = _check_count(cfg["fragments_per_file"], "fragments_per_file", 1, MAX_FRAGMENTS)
+    _check_count(cfg["seed"], "seed", 0)
     gcfg = build_game_config(dict(cfg, alpha=args.alpha_grid[0]))
     rows = []
     for i, alpha in enumerate(args.alpha_grid):
@@ -299,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(buf.getvalue())
         else:
             args.out.write_text(buf.getvalue())
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -384,10 +384,10 @@ def worst_case_rate(cfg: GameConfig) -> float:
     """Closed-form equilibrium rate when every user is an adversary.
 
     With alpha = 1 the leader plays uniformly, q_j = M/N, and the rate is
-    h(M/N) = sum_d gamma_d max(1 - d M/N, 0), read off the coverage's curve.
+    h(M/N) = sum_d gamma_d max(1 - d M/N, 0), read off the coverage's curve;
+    GameConfig's 0 < M < N keeps M/N inside (0, 1).
     """
-    level = min(cfg.cache_size / cfg.popularity.num_files, 1.0)
-    return cfg.coverage.deficit_at(level)
+    return cfg.coverage.deficit_at(cfg.cache_size / cfg.popularity.num_files)
 
 
 def sweep_equilibria(cfg: GameConfig, alphas) -> list[EquilibriumResult]:
@@ -418,13 +418,11 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
     if len(results) != len(alphas):
         raise ValueError("results do not match the alpha grid")
     q_ref = no_adversary_placement(cfg).q
-    uniform = min(cfg.cache_size / cfg.popularity.num_files, 1.0)
+    uniform = cfg.cache_size / cfg.popularity.num_files
     branched = gathered = None
     for alpha, res in zip(alphas, results):
         q = res.q_star.q              # its own minimum, not res.j_star's entry
-        # a solve on the no-adversary piece shares q_ref itself: distance 0
-        if (branched is None and q is not q_ref
-                and np.maximum.reduce(np.abs(q - q_ref)) > DISTANCE_TOL):
+        if branched is None and np.maximum.reduce(np.abs(q - q_ref)) > DISTANCE_TOL:
             branched = alpha
         # max |q - uniform| <= DISTANCE_TOL, the lower side first
         if (gathered is None and uniform - np.minimum.reduce(q) <= DISTANCE_TOL

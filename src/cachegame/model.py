@@ -35,8 +35,8 @@ def _check_count(value, name: str, low: int, high: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < low or (high is not None and value > high):
-        raise ValueError(f"{name} must be >= {low}" if high is None
-                         else f"{name} must lie in [{low}, {high}]")
+        raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
+                         else f"{name} must lie in [{low}, {high}], got {value}")
     return value
 
 

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -350,7 +353,9 @@ class TestSimulate:
     def test_one_request_is_rejected(self, config_path, capsys):
         assert main(["simulate", "--config", str(config_path),
                      "--alpha-grid", "0.5", "--requests", "1"]) == 2
-        assert "two requests" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --requests must lie in [2, ")
+        assert err.rstrip().endswith("got 1")
 
     @pytest.mark.parametrize("requests", ["1", "9223372036854775808"])
     def test_request_count_is_checked_before_solving(self, config_path, capsys,
@@ -373,7 +378,9 @@ class TestSimulate:
                                                          calls, key, value):
         assert main(["simulate", "--config", str(config_path),
                      "--alpha-grid", "0,0.5", f"--{key}", value]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} {value}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must ")
+        assert err.rstrip().endswith(f"got {value}")
         assert calls["equilibrium_placement"] == 0
 
     def test_largest_fragment_count_runs(self, config_path, capsys):
@@ -472,6 +479,28 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert calls["equilibrium_placement"] == 0
+
+    def test_out_without_write_access(self, config_path, tmp_path, capsys, calls,
+                                      monkeypatch):
+        # a chmod'd directory stays writable to root, so access is denied here
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(["thresholds", "--config", str(config_path),
+                     "--alpha-grid", "0:1:0.5", "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out")
+        assert "not writable" in captured.err
+        assert calls["equilibrium_placement"] == 0
+
+    def test_library_too_large_for_memory(self, capsys, monkeypatch):
+        def no_memory(num_files, exponent):
+            raise MemoryError(f"Unable to allocate {8 * num_files} bytes")
+        monkeypatch.setattr(cli, "zipf_popularity", no_memory)
+        assert main(["placement", "--num_files", "3000000000",
+                     "--cache_size", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
 
 
 class TestSolveCounts:
@@ -590,3 +619,20 @@ class TestGoldenBytes:
         # without --out the table follows the same lines on stdout
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == stdout + table
+
+    def test_module_runs_as_a_program(self):
+        # sys.exit(main()) hands main's exit code to the shell
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "cachegame.cli", *argv],
+                                  capture_output=True, env=env, check=False)
+        gamma = run("gamma")
+        assert gamma.returncode == 0
+        assert gamma.stdout == (GOLDEN / "gamma.csv").read_bytes()
+        rejected = run("placement", "--alpha", "2")
+        assert rejected.returncode == 2
+        assert rejected.stdout == b""
+        assert rejected.stderr.startswith(b"error: alpha must lie in [0, 1]")

@@ -168,6 +168,11 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Placement(q=q, cache_size=3.0)
 
+    @pytest.mark.parametrize("q", [[], [[0.1]]], ids=["empty", "2d"])
+    def test_placement_must_be_a_nonempty_vector(self, q):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            Placement(q=q, cache_size=1.0)
+
     @pytest.mark.parametrize("raw", [
         [-1e-10, 0.5, 1 + 1e-10, -0.0], [-0.0, 0.25, 1.0], [0.0, 1.0],
     ], ids=["outside", "minus_zero_inside", "inside"])
@@ -260,6 +265,10 @@ class TestCountContract:
                              ids=["int64", "uint8"])
     def test_numpy_integers_pass(self, name, call, value):
         assert call(value) == call(3)
+
+    def test_range_message_names_the_value(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must .*, got -1$"):
+            call(-1)
 
 
 # a mixed strategy of the adversaries is a PopularityDist too, rated by legit_rate

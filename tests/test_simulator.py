@@ -204,6 +204,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="num_requests must lie in"):
             simulate(m, cfg, 10, simulator.MAX_REQUESTS + 1, seed=5)
 
+    def test_report_counts_must_sum_to_the_requests(self):
+        with pytest.raises(ValueError, match="sum to the request count"):
+            simulator.SimReport(requests=10, backhaul_fraction_mean=0.5,
+                                backhaul_fraction_stderr=0.1,
+                                per_coverage_counts=[4, 5])
+
 
 class TestAgainstRequestOracle:
     """Both simulators draw files from p = (1 - alpha) popularity +
