@@ -71,18 +71,16 @@ Allocation Problems, 1988):
   reads the runs in O(S).  So a solve makes a fixed few numpy calls and
   few passes over the N files (writing q*, Placement's checks and the best
   response), whatever N is, and the floor none.  q*(alpha) is piecewise
-  constant, so the slot also keeps the last solve and the last one at
-  alpha = 0, the no-adversary optimum, on those objects.  A call on the
-  piece of either (an equal M, a floor with the same bits, and the entry's
-  heavy count or both past the segments it filled) reuses its fill,
-  placement, best response and rates, and mixes only the rates by its own
-  alpha.
-  with_alpha and dataclasses.replace share the objects, so an alpha or cache
-  sweep hits; a replaced coverage, or a config built afresh from equal
-  vectors, builds its own table.  The slot is one immutable record that a
-  solve reads once and a miss replaces whole, so threads never mix two
-  configs.  detect_thresholds reads the placements one at a time, on ufunc
-  reductions, and stops at the second threshold.
+  constant, so the slot also keeps two solves on those objects, `last` and
+  `noadv`, the last one at alpha = 0.  A call on the piece of either, by the
+  rule at equilibrium_placement's reuse test, reuses its fill, placement,
+  best response and rates, and mixes only the rates by its own alpha.
+  with_alpha and dataclasses.replace share the objects, so an alpha or
+  cache sweep hits; a replaced coverage, or a config built afresh from
+  equal vectors, builds its own table.  The slot is one immutable record
+  that a solve reads once and a miss replaces whole, so threads never mix
+  two configs.  detect_thresholds reads the placements one at a time, on
+  ufunc reductions, and stops at the second threshold.
 """
 
 from __future__ import annotations
@@ -91,6 +89,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +103,10 @@ DISTANCE_TOL = 1e-3
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """One equilibrium solve: q_star ordered by popularity, j_star the 0-based
+    least cached file (ties go to the lowest index), rates at cfg.alpha, and
+    solver_status always "optimal", kept because the frozen benchmark reads it."""
+
     q_star: Placement
     j_star: int
     rates: RateBreakdown
@@ -312,14 +315,16 @@ def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
     return q, runs, cut
 
 
+_Record = namedtuple("_Record", "popularity coverage table last noadv")
+_Solve = namedtuple("_Solve", "cache mu heavy cut placement j_star rates")
+
+
 class _Cache:
-    """The module's one cache.  `record` is None or the tuple (popularity,
-    coverage, table, last, noadv): the popularity and coverage objects of
-    the last solve, their segment table, the last solve and, as `noadv`,
-    the last solve at alpha = 0 on them, the no-adversary optimum that a
-    sweep's thresholds ask for again.  Each solve is (M, mu, heavy, cut,
-    placement, j_star, rates), or None.  `hits` and `misses` count the
-    solves that reused one and those that did not."""
+    """The module's one cache.  `record` is None or a _Record: the
+    popularity and coverage objects of the last solve, their segment table,
+    and the last solve and the last at alpha = 0 on them (`noadv`, the
+    no-adversary optimum a sweep's thresholds ask for again), each a _Solve
+    or None.  `hits` and `misses` count the solves that reused one or not."""
 
     def __init__(self):
         self.clear()
@@ -339,37 +344,36 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     # The record holds both objects, so their ids are never reused, and
     # each copies its vector read-only, so `is` implies equal vectors.
     record = _last_solve.record
-    if record is None or record[0] is not popularity or record[1] is not coverage:
-        table = _segments(popularity.probs, coverage.gamma)
-        record = popularity, coverage, table, None, None
-    t = record[2]
-    mu, heavy, count, k = _floor(t, cfg.alpha, cache)
-    # The reuse is exact.  _fill sees alpha only through (mu, heavy), count
-    # and k being the levels of the heavy prefix and, inside a level, the
-    # level of mu; mu is never NaN or -0.0, so == compares its bits, and it
-    # alone picks the path.  Inside a level every heavy segment fills, the
-    # cut is the heavy count, and only an equal count reuses the entry.  On
-    # a level end the running sums are sequential, so they do not depend on
-    # the length of the heavy prefix: two prefixes that both reach past an
-    # entry's cut stop at that same cut and fill alike.  j_star and both
-    # rates read only q, the popularity and the coverage (the runs are q's),
-    # so only their alpha mix changes.
-    for entry in record[3:]:
-        if (entry is not None and (cache, mu) == entry[:2]
-                and (heavy == entry[2] or entry[3] < min(heavy, entry[2]))):
+    if (record is None or record.popularity is not popularity
+            or record.coverage is not coverage):
+        record = _Record(popularity, coverage,
+                         _segments(popularity.probs, coverage.gamma), None, None)
+    mu, heavy, count, k = _floor(record.table, cfg.alpha, cache)
+    # A kept solve is reused exactly on an equal M, a floor with the same bits,
+    # and its heavy count or both past its cut.  _fill sees alpha only through
+    # (mu, heavy), count and k being the levels of the heavy prefix and, inside
+    # a level, the level of mu; mu is never NaN or -0.0, so == compares its
+    # bits, and it alone picks the path.  Inside a level every heavy segment
+    # fills, the cut is the heavy count, and only an equal count reuses the
+    # solve.  On a level end the running sums, added in order, do not depend on
+    # the heavy prefix's length: two prefixes past a solve's cut stop at that
+    # cut and fill alike.  j_star and both rates read only q, the popularity
+    # and the coverage, so only their alpha mix changes.
+    for solve in (record.last, record.noadv):
+        if (solve is not None and solve.cache == cache and solve.mu == mu
+                and (heavy == solve.heavy or solve.cut < min(heavy, solve.heavy))):
             _last_solve.hits += 1
-            placement, j_star, rates = entry[4:]
-            rates = total_rate(cfg.alpha, rates.r_legit, rates.r_adv)
+            rates = total_rate(cfg.alpha, solve.rates.r_legit, solve.rates.r_adv)
             break
     else:
-        q, runs, cut = _fill(t, mu, heavy, count, k, cache)
+        q, runs, cut = _fill(record.table, mu, heavy, count, k, cache)
         placement = Placement(q=q, cache_size=cache)
         j_star, rates = _rate(placement, cfg, runs)
-        entry = cache, mu, heavy, cut, placement, j_star, rates
-        _last_solve.record = (*record[:3], entry,
-                              entry if cfg.alpha == 0.0 else record[4])
+        solve = _Solve(cache, mu, heavy, cut, placement, j_star, rates)
+        _last_solve.record = _Record(popularity, coverage, record.table, solve,
+                                     solve if cfg.alpha == 0.0 else record.noadv)
         _last_solve.misses += 1
-    return EquilibriumResult(q_star=placement, j_star=j_star, rates=rates,
+    return EquilibriumResult(q_star=solve.placement, j_star=solve.j_star, rates=rates,
                              solver_status="optimal")
 
 

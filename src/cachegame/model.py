@@ -123,6 +123,8 @@ class Placement:
     cache_size: float
 
     def __post_init__(self):
+        if not self.cache_size > 0:
+            raise ValueError("cache size must be positive")
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("placement must be a non-empty vector")
@@ -136,8 +138,6 @@ class Placement:
             q = np.clip(q, 0.0, 1.0)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        if not self.cache_size > 0:
-            raise ValueError("cache size must be positive")
         if np.add.reduce(q) > self.cache_size + CAPACITY_TOL:
             raise ValueError("placement exceeds cache capacity")
 
@@ -147,6 +147,8 @@ class Placement:
 
     @classmethod
     def uniform(cls, num_files: int, cache_size: float) -> "Placement":
+        """Every file cached in the same fraction, q_j = min(M / N, 1)."""
+        num_files = _check_count(num_files, "num_files", 1)
         frac = min(cache_size / num_files, 1.0)
         return cls(q=np.full(num_files, frac), cache_size=cache_size)
 

@@ -51,11 +51,11 @@ def reference_config(alpha=0.0):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """One entry per segment table built from here on, recorded by
-    wrapping game._segments; the solve slot starts empty."""
+    """Each segment table built from here on, recorded by wrapping
+    game._segments; the solve slot starts empty."""
     built, build = [], game._segments
     monkeypatch.setattr(game, "_segments",
-                        lambda probs, gamma: built.append(probs) or build(probs, gamma))
+                        lambda probs, gamma: built.append(build(probs, gamma)) or built[-1])
     game._last_solve.clear()
     return built
 
@@ -803,6 +803,18 @@ class TestSolveSlot:
         assert (game._last_solve.hits, game._last_solve.misses) == (hits + 1, misses)
         assert repeat is results[0].q_star
         assert repeat.q.tobytes() == self.cold(cfg).q_star.q.tobytes()
+
+    def test_the_record_is_read_by_field(self, builds):
+        cfg = reference_config()
+        results = sweep_equilibria(cfg, [0.0, 0.5, 1.0])
+        record = game._last_solve.record
+        assert isinstance(record, tuple)
+        assert record.popularity is cfg.popularity and record.coverage is cfg.coverage
+        assert len(builds) == 1 and record.table is builds[0]
+        # the last solve is alpha = 1, the no-adversary one alpha = 0
+        assert record.last.placement is results[-1].q_star
+        assert record.noadv.placement is results[0].q_star
+        assert record.last.j_star == results[-1].j_star
 
     def test_clear_empties_both_entries(self, builds):
         cfg = reference_config()

@@ -159,6 +159,13 @@ class TestTypes:
             Placement(q=[np.nan], cache_size=1.0)
         with pytest.raises(ValueError):
             Placement(q=[0.5], cache_size=np.nan)
+        # M / N divided by zero; then it is NaN or negative, and the cache
+        # size is at fault
+        with pytest.raises(ValueError, match="^num_files must be >= 1, got 0$"):
+            Placement.uniform(0, 5.0)
+        for num_files, cache in [(4, np.nan), (3, -1.0)]:
+            with pytest.raises(ValueError, match="cache size must be positive"):
+                Placement.uniform(num_files, cache)
 
     @pytest.mark.parametrize("q", [
         [0.5, np.nan, 0.5], [0.2, 0.3, np.nan], [0.5, np.inf], [0.5, -np.inf],
@@ -242,6 +249,7 @@ def _simulated(n=3, num_requests=3, seed=3):
 COUNT_INPUTS = {
     "library_num_files": ("num_files", lambda v: LibraryConfig(num_files=v).num_files),
     "zipf_num_files": ("num_files", lambda v: zipf_popularity(v, 0.7).probs.tolist()),
+    "uniform_num_files": ("num_files", lambda v: Placement.uniform(v, 1.5).q.tolist()),
     "quantize_n": ("n", lambda v: quantize_placement(
         Placement(q=[0.5, 0.5, 0.5], cache_size=1.5), v,
         zipf_popularity(3, 0.7)).tolist()),
