@@ -156,21 +156,14 @@ def cmd_sweep_cache(cfg: dict, args):
     return rows, header
 
 
-def _threshold_columns(qs: np.ndarray, q_ref: np.ndarray,
-                       uniform: float) -> list[np.ndarray]:
-    """The q_min, q_max, q_mu, dist_noadv and dist_uniform columns of the
-    stacked placements qs, one per row; qs is overwritten.
-
-    q_mu is a row's last entry above 1e-9, or 0.0 when there is none.
-    """
-    q_min, q_max = qs.min(axis=1), qs.max(axis=1)
-    above = qs > 1e-9
-    last = qs.shape[1] - 1 - above[:, ::-1].argmax(axis=1)
-    q_mu = np.where(above.any(axis=1), qs[np.arange(qs.shape[0]), last], 0.0)
+def _threshold_cells(placement: Placement, ref: Placement, uniform: float) -> list[float]:
+    """The q_min, q_max, q_mu, dist_noadv and dist_uniform cells of one
+    placement, ref being the no-adversary one; q_mu is its last entry
+    above 1e-9 in index order, or 0.0 when there is none."""
+    low, top, distance = placement._spread(ref)
     # max |q - uniform| bit for bit: rounding is monotone and symmetric
-    dist_uniform = np.maximum(q_max - uniform, uniform - q_min)
-    np.subtract(qs, q_ref, out=qs)
-    return [q_min, q_max, q_mu, np.abs(qs, out=qs).max(axis=1), dist_uniform]
+    return [low, top, placement._last_above(1e-9), distance,
+            max(top - uniform, uniform - low)]
 
 
 def cmd_thresholds(cfg: dict, args):
@@ -178,13 +171,12 @@ def cmd_thresholds(cfg: dict, args):
     alphas = args.alpha_grid
     results = game.sweep_equilibria(gcfg, alphas)
     detection = game.detect_thresholds(gcfg, alphas, results)
-    q_ref = game.no_adversary_placement(gcfg).q
+    ref = game.no_adversary_placement(gcfg)
     uniform = gcfg.cache_size / gcfg.popularity.num_files
-    columns = _threshold_columns(np.array([res.q_star.q for res in results]),
-                                 q_ref, uniform)
-    r_total = [res.rates.r_total for res in results]
-    rows = [[_fmt(v) for v in row]
-            for row in zip(alphas, *(c.tolist() for c in columns), r_total)]
+    # one placement at a time: no rows x N matrix is built
+    rows = [[_fmt(v) for v in (alpha, *_threshold_cells(res.q_star, ref, uniform),
+                               res.rates.r_total)]
+            for alpha, res in zip(alphas, results)]
     header = ["alpha", "q_min", "q_max", "q_mu",
               "dist_noadv", "dist_uniform", "R_total"]
     for name, thr, event in (("alpha_thr_1", detection.alpha_thr_1, "branching"),

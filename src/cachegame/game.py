@@ -66,21 +66,27 @@ Allocation Problems, 1988):
   below the budget are filled, all whole but the last, and one bincount of
   their levels gives the runs and the one partial file.  Each run's value
   is mu plus its levels' lengths, added bottom up as a per-file sum of the
-  fills would add them, and its popularity mass a difference of two P_m;
-  q* is written run by run through the popularity order, and legit_rate
-  reads the runs in O(S).  So a solve makes a fixed few numpy calls and
-  few passes over the N files (writing q*, Placement's checks and the best
-  response), whatever N is, and the floor none.  q*(alpha) is piecewise
-  constant, so the slot also keeps two solves on those objects, `last` and
-  `noadv`, the last one at alpha = 0.  A call on the piece of either, by the
-  rule at equilibrium_placement's reuse test, reuses its fill, placement,
-  best response and rates, and mixes only the rates by its own alpha.
-  with_alpha and dataclasses.replace share the objects, so an alpha or
-  cache sweep hits; a replaced coverage, or a config built afresh from
-  equal vectors, builds its own table.  The slot is one immutable record
-  that a solve reads once and a miss replaces whole, so threads never mix
-  two configs.  detect_thresholds reads the placements one at a time, on
-  ufunc reductions, and stops at the second threshold.
+  fills would add them, and its popularity mass a difference of two P_m.
+  q* is kept as its non-empty runs (Placement._from_runs checks them in
+  O(S)) and written out only when someone reads q: one repeat and one
+  scatter through the popularity order.  The best response is the least
+  file index among the runs of the least value, one read of the table's
+  suffix minimum of the order; legit_rate reads the runs, and
+  adversary_rate one entry through the table's inverse of the order.  So a
+  solve writes no N-vector unless q is read; a floor inside its level
+  makes no pass over the files at all, and one on a level end only its
+  window's gather and running sums.  q*(alpha)
+  is piecewise constant, so the slot also keeps two solves on those
+  objects, `last` and `noadv`, the last one at alpha = 0.  A call on the
+  piece of either, by the rule at equilibrium_placement's reuse test,
+  reuses its fill, placement, best response and rates, and mixes only the
+  rates by its own alpha.  with_alpha and dataclasses.replace share the
+  objects, so an alpha or cache sweep hits; a replaced coverage, or a
+  config built afresh from equal vectors, builds its own table.  The slot
+  is one immutable record that a solve reads once and a miss replaces
+  whole, so threads never mix two configs.  detect_thresholds reads the
+  placements one at a time, each against the no-adversary one by merging
+  their runs' boundaries in O(S), and stops at the second threshold.
 """
 
 from __future__ import annotations
@@ -130,7 +136,7 @@ def best_response(placement: Placement) -> int:
     """Adversary best response: every adversary requests j_star, the least
     cached file.  Ties break to the lowest index; the rate is tie-independent.
     """
-    return int(placement.q.argmin())
+    return placement._argmin()
 
 
 def _rate(placement: Placement, cfg: GameConfig,
@@ -164,7 +170,9 @@ class _Segments:
     level, each level's N in popularity order, so ascending within a level.
     cumprobs views P_m, the sum of the m smallest probabilities, at index
     m - 1; N is its length.  steps views the running maximum of the steps
-    g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
+    g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.  rank is the inverse
+    of order, each file's position in it, and least[i] the least file index
+    in order[i:].
     """
 
     c: tuple[float, ...]
@@ -174,6 +182,8 @@ class _Segments:
     width_exact: tuple[int, ...]
     scale: int
     order: np.ndarray
+    rank: np.ndarray
+    least: np.ndarray
     segment: np.ndarray
     columns: memoryview
     cumprobs: memoryview
@@ -199,7 +209,10 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     ascending = descending[::-1]
     cumprobs = ascending.cumsum()
     steps = np.maximum.accumulate(np.arange(1.0, n) * ascending[1:] - cumprobs[:-1])
-    for array in (columns, by_popularity, segment, cumprobs, steps):
+    rank = np.empty(n, dtype=by_popularity.dtype)
+    rank[by_popularity] = np.arange(n)
+    least = np.minimum.accumulate(by_popularity[::-1])[::-1]
+    for array in (columns, by_popularity, rank, least, segment, cumprobs, steps):
         array.setflags(write=False)
     # every float is an integer over a power of two, so the largest
     # denominator is a multiple of all the others
@@ -208,7 +221,8 @@ def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
     exact = tuple(num * (scale // den) for num, den in ratios)
     return _Segments(c=tuple(c.tolist()), lo=tuple(lo), hi=tuple(hi),
                      hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
-                     order=by_popularity, segment=segment, columns=memoryview(columns),
+                     order=by_popularity, rank=rank, least=least, segment=segment,
+                     columns=memoryview(columns),
                      cumprobs=memoryview(cumprobs), steps=memoryview(steps))
 
 
@@ -251,13 +265,14 @@ def _floor(t: _Segments, alpha: float,
 
 
 def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
-          cache: float) -> tuple[np.ndarray, list[tuple[float, float]], int]:
+          cache: float) -> tuple[tuple[float, ...], tuple[int, ...],
+                                 tuple[float, ...], int]:
     """The greedy fill of the budget M - N mu over the first `heavy` sorted
-    segments, above mu, on the floor (mu, heavy, count, k) of _floor: q, its
-    runs in popularity order, each (value, popularity mass), and the number
-    of segments the fill covers.  Equal weights fill level by level, lower
-    q first, and each level's in popularity order, ties in index order, so
-    q is non-increasing in it."""
+    segments, above mu, on the floor (mu, heavy, count, k) of _floor: the
+    non-empty runs of q in popularity order, as their values, file counts
+    and popularity masses, and the number of segments the fill covers.
+    Equal weights fill level by level, lower q first, and each level's in
+    popularity order, ties in index order, so the values never increase."""
     n, s = len(t.cumprobs), len(t.c)
     # each level's length above mu
     lengths = [max(h - max(l, mu), 0.0) for l, h in zip(t.lo, t.hi)]
@@ -305,14 +320,15 @@ def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
         values.insert(s - level, mu + (sums[level] + fill))
         counts.insert(s - level, 1)
     # a run's mass is a difference of the sums of the smallest probabilities
-    q, runs, end, above = np.empty(n), [], 0, t.cumprobs[n - 1]
+    runs, end, above = [], 0, t.cumprobs[n - 1]
     for value, size in zip(values, counts):
-        end += size
-        below = t.cumprobs[n - end - 1] if end < n else 0.0
-        q[t.order[end - size:end]] = value
-        runs.append((value, above - below))
-        above = below
-    return q, runs, cut
+        if size:
+            end += size
+            below = t.cumprobs[n - end - 1] if end < n else 0.0
+            runs.append((value, size, above - below))
+            above = below
+    values, counts, masses = zip(*runs)
+    return values, counts, masses, cut
 
 
 _Record = namedtuple("_Record", "popularity coverage table last noadv")
@@ -366,9 +382,12 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
             rates = total_rate(cfg.alpha, solve.rates.r_legit, solve.rates.r_adv)
             break
     else:
-        q, runs, cut = _fill(record.table, mu, heavy, count, k, cache)
-        placement = Placement(q=q, cache_size=cache)
-        j_star, rates = _rate(placement, cfg, runs)
+        table = record.table
+        values, counts, masses, cut = _fill(table, mu, heavy, count, k, cache)
+        placement = Placement._from_runs(values, counts, table.order, table.rank,
+                                         table.least, cache)
+        # h is flat past either end of [0, 1], so the values need no clipping
+        j_star, rates = _rate(placement, cfg, zip(values, masses))
         solve = _Solve(cache, mu, heavy, cut, placement, j_star, rates)
         _last_solve.record = _Record(popularity, coverage, record.table, solve,
                                      solve if cfg.alpha == 0.0 else record.noadv)
@@ -421,16 +440,15 @@ def detect_thresholds(cfg: GameConfig, alpha_grid,
         raise ValueError("alpha grid must be sorted")
     if len(results) != len(alphas):
         raise ValueError("results do not match the alpha grid")
-    q_ref = no_adversary_placement(cfg).q
+    ref = no_adversary_placement(cfg)
     uniform = cfg.cache_size / cfg.popularity.num_files
     branched = gathered = None
     for alpha, res in zip(alphas, results):
-        q = res.q_star.q              # its own minimum, not res.j_star's entry
-        if branched is None and np.maximum.reduce(np.abs(q - q_ref)) > DISTANCE_TOL:
+        low, top, distance = res.q_star._spread(ref)
+        if branched is None and distance > DISTANCE_TOL:
             branched = alpha
-        # max |q - uniform| <= DISTANCE_TOL, the lower side first
-        if (gathered is None and uniform - np.minimum.reduce(q) <= DISTANCE_TOL
-                and np.maximum.reduce(q) - uniform <= DISTANCE_TOL):
+        # max |q - uniform| bit for bit: rounding is monotone and symmetric
+        if gathered is None and max(top - uniform, uniform - low) <= DISTANCE_TOL:
             gathered = alpha
         if branched is not None and gathered is not None:
             break

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import numbers
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,40 +118,161 @@ class CoverageProfile:
         return self.gamma.size
 
 
+def _check_cache_size(value) -> None:
+    """ValueError naming `value` unless it is a real, finite, positive
+    number (numpy's pass, a bool does not)."""
+    # written so that NaN fails the test; a float skips the slower ABC check
+    if (type(value) is not float and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real))
+            or not 0 < value < math.inf):
+        raise ValueError(f"cache size must be positive and finite, got {value!r}")
+
+
+def _entries(q: np.ndarray) -> np.ndarray:
+    """q, read-only, with the solver-level rounding at the box boundary
+    clipped to [0, 1]; ValueError if an entry lies further outside, NaN
+    included."""
+    # the ufuncs of q.min() and q.max(), without their wrappers
+    low, high = np.minimum.reduce(q), np.maximum.reduce(q)
+    # written so that a NaN entry fails the test: min and max are then NaN
+    if not (low >= -PROB_TOL and high <= 1.0 + PROB_TOL):
+        raise ValueError("placement entries must lie in [0, 1]")
+    if low < 0.0 or high > 1.0:
+        q = np.clip(q, 0.0, 1.0)
+    q.setflags(write=False)
+    return q
+
+
+# runs of files at one value, read in `order`: values[i] on the counts[i]
+# files order[ends[i] - counts[i]:ends[i]]; rank is the inverse of order,
+# and least[i] the least file index in order[i:]
+_Runs = namedtuple("_Runs", "values counts ends order rank least")
+
+
 @dataclass(frozen=True)
 class Placement:
-    """Proportional placement q_j = m_j / n, limited by the SBS cache size M."""
+    """Proportional placement q_j = m_j / n, limited by the SBS cache size M.
+
+    The equilibrium solver builds its placements from runs (`_from_runs`),
+    kept beside the fields as `_runs`, None for a placement built from q.
+    Such a placement builds q on first read, once, and reads `num_files`,
+    its least cached file, single entries, its distances and its last
+    entry above a floor off the runs, in O(S) for S runs.
+    """
 
     q: np.ndarray
     cache_size: float
 
     def __post_init__(self):
-        if not self.cache_size > 0:
-            raise ValueError("cache size must be positive")
+        _check_cache_size(self.cache_size)
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise ValueError("placement must be a non-empty vector")
-        # the ufuncs of q.min(), q.max() and q.sum(), without their wrappers
-        low, high = np.minimum.reduce(q), np.maximum.reduce(q)
-        # written so that a NaN entry fails the test: min and max are then NaN
-        if not (low >= -PROB_TOL and high <= 1.0 + PROB_TOL):
-            raise ValueError("placement entries must lie in [0, 1]")
-        # tolerate solver-level rounding at the box boundary
-        if low < 0.0 or high > 1.0:
-            q = np.clip(q, 0.0, 1.0)
+        object.__setattr__(self, "q", _entries(q))
+        object.__setattr__(self, "_runs", None)
+        if np.add.reduce(self.q) > self.cache_size + CAPACITY_TOL:
+            raise ValueError("placement exceeds cache capacity")
+
+    @classmethod
+    def _from_runs(cls, values, counts, order: np.ndarray, rank: np.ndarray,
+                   least: np.ndarray, cache_size: float) -> "Placement":
+        """The placement that holds values[i] on the next counts[i] files
+        of `order`, a permutation of the files with inverse `rank` and
+        suffix minimum `least`, the values never increasing; its entries
+        are checked and clipped as q's are, and its capacity on the exact
+        sum of the runs, all in O(len(values))."""
+        _check_cache_size(cache_size)
+        values, counts = tuple(values), tuple(counts)
+        # numpy only for entries outside the box; written so that NaN goes there
+        if not all(0.0 <= value <= 1.0 for value in values):
+            values = tuple(_entries(np.array(values, dtype=float)).tolist())
+        if not (len(values) == len(counts) and min(counts) > 0
+                and sum(counts) == order.size):
+            raise ValueError("runs must cover every file once")
+        if math.fsum(map(operator.mul, values, counts)) > cache_size + CAPACITY_TOL:
+            raise ValueError("placement exceeds cache capacity")
+        placement = object.__new__(cls)
+        object.__setattr__(placement, "cache_size", cache_size)
+        object.__setattr__(placement, "_runs", _Runs(
+            values, counts, tuple(itertools.accumulate(counts)), order, rank, least))
+        return placement
+
+    def __getattr__(self, name):
+        # only a placement built from runs lacks q: build it on first read
+        runs = self.__dict__.get("_runs")
+        if name != "q" or runs is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        q = np.empty(runs.order.size)
+        q[runs.order] = np.repeat(runs.values, runs.counts)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        if np.add.reduce(q) > self.cache_size + CAPACITY_TOL:
-            raise ValueError("placement exceeds cache capacity")
+        return q
 
     @property
     def num_files(self) -> int:
-        return self.q.size
+        return self.q.size if self._runs is None else self._runs.order.size
+
+    def _argmin(self) -> int:
+        """q.argmin(): the least index among the least entries."""
+        runs = self._runs
+        if runs is None:
+            return int(self.q.argmin())
+        # the files at the least value are the runs from its first on
+        first = runs.values.index(runs.values[-1])
+        return runs.least.item(runs.ends[first - 1] if first else 0)
+
+    def _entry(self, j: int) -> float:
+        """q[j] as a float; off the runs, by one bisection, when there are any."""
+        runs = self._runs
+        if runs is None:
+            return self.q.item(j)
+        return runs.values[bisect.bisect_right(runs.ends, runs.rank.item(j))]
+
+    def _spread(self, ref: "Placement") -> tuple[float, float, float]:
+        """The least and the largest entry of q and its infinity-norm
+        distance to ref.q.  Two placements of runs over one order are read
+        off the runs, whose ends merge in O(S); any other pair off the
+        arrays, with the same bits."""
+        runs, other = self._runs, ref._runs
+        if runs is None or other is None or runs.order is not other.order:
+            q = self.q
+            return (float(np.minimum.reduce(q)), float(np.maximum.reduce(q)),
+                    float(np.maximum.reduce(np.abs(q - ref.q))))
+        values, ends, ref_values, ref_ends = runs.values, runs.ends, other.values, other.ends
+        # each step covers the files up to the nearer of the two runs' ends
+        distance, i, j, n = 0.0, 0, 0, ends[-1]
+        while True:
+            gap = abs(values[i] - ref_values[j])
+            if gap > distance:
+                distance = gap
+            end, ref_end = ends[i], ref_ends[j]
+            if end == ref_end:
+                if end == n:
+                    return values[-1], values[0], distance
+                i, j = i + 1, j + 1
+            elif end < ref_end:
+                i += 1
+            else:
+                j += 1
+
+    def _last_above(self, floor: float) -> float:
+        """The last entry of q above `floor` in index order, or 0.0 when
+        there is none."""
+        runs = self._runs
+        if runs is None:
+            above = np.flatnonzero(self.q > floor)
+            return self.q.item(above[-1]) if above.size else 0.0
+        # the entries above the floor are those of a prefix of the order
+        count = sum(value > floor for value in runs.values)
+        if not count:
+            return 0.0
+        return self._entry(int(np.maximum.reduce(runs.order[:runs.ends[count - 1]])))
 
     @classmethod
     def uniform(cls, num_files: int, cache_size: float) -> "Placement":
         """Every file cached in the same fraction, q_j = min(M / N, 1)."""
         num_files = _check_count(num_files, "num_files", 1)
+        _check_cache_size(cache_size)
         frac = min(cache_size / num_files, 1.0)
         return cls(q=np.full(num_files, frac), cache_size=cache_size)
 

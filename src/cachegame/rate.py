@@ -43,7 +43,8 @@ def adversary_rate(placement: Placement, coverage: CoverageProfile,
         raise ValueError(f"target must be an integer file index, got {target!r}")
     if not 0 <= target < placement.num_files:
         raise ValueError("target file out of range")
-    return coverage.deficit_at(placement.q.item(target))
+    # read off the placement's runs when it has them: q is not built
+    return coverage.deficit_at(placement._entry(target))
 
 
 def total_rate(alpha: float, r_legit: float, r_adv: float) -> RateBreakdown:

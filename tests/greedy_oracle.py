@@ -10,10 +10,10 @@ reads numpy scalars, and the length the heavy segments fill is summed as an
 exact `Fraction`, rounded once to a float.  A floor strictly inside its
 level solves the floor's equation, which makes the budget the heavy length,
 so every heavy segment fills whole; on a level end the budget is filled by
-running sums, the last segment clipped.  The greedy of `cachegame.game`,
-`game._fill(t, *game._floor(t, alpha, M), M)[0]` on the segment table t,
-must return the same bits on every input; the tests compare the two with
-`np.array_equal`.
+running sums, the last segment clipped.  The greedy of `cachegame.game`
+returns the runs of q, `game._fill(t, *game._floor(t, alpha, M), M)` on the
+segment table t; written out by `eager_fill`, they must have the same bits
+on every input; the tests compare the two with `np.array_equal`.
 """
 
 from fractions import Fraction
@@ -70,3 +70,13 @@ def greedy_placement(probs: np.ndarray, gamma: np.ndarray, alpha: float,
         end = np.cumsum(length)
         fill = np.clip(budget - np.concatenate(([0.0], end[:-1])), 0.0, length)
     return mu + np.bincount(owner[:heavy], weights=fill, minlength=n)
+
+
+def eager_fill(order: np.ndarray, values, counts) -> np.ndarray:
+    """q written run by run, values[i] on the next counts[i] files of the
+    popularity order, as the solver wrote it before it kept the runs."""
+    q, end = np.empty(order.size), 0
+    for value, size in zip(values, counts):
+        q[order[end:end + size]] = value
+        end += size
+    return q

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cachegame import cli, game, model, simulator
-from cachegame.cli import PARSER, main, parse_grid
+from cachegame.cli import PARSER, build_game_config, main, parse_grid
+from cachegame.model import Placement, load_config, zipf_popularity
 
 
 @pytest.fixture
@@ -299,6 +300,14 @@ def threshold_rows_oracle(qs, q_ref, q_uni):
     return rows
 
 
+def threshold_cells(qs, q_ref, uniform):
+    """cli._threshold_cells of each row of qs, all wrapped in placements."""
+    cache = qs.shape[1]
+    ref = Placement(q=q_ref, cache_size=cache)
+    return [cli._threshold_cells(Placement(q=q, cache_size=cache), ref, uniform)
+            for q in qs]
+
+
 class TestThresholdColumns:
     @staticmethod
     def random_stacks():
@@ -317,16 +326,39 @@ class TestThresholdColumns:
     def test_match_the_row_loop(self):
         for qs, q_ref, uniform in self.random_stacks():
             expected = threshold_rows_oracle(qs, q_ref, np.full(qs.shape[1], uniform))
-            columns = cli._threshold_columns(qs.copy(), q_ref, uniform)
-            rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+            rows = threshold_cells(qs, q_ref, uniform)
             assert rows == [[float(v) for v in row] for row in expected]
             assert [[cli._fmt(v) for v in row] for row in rows] == \
                 [[cli._fmt(v) for v in row] for row in expected]
 
     def test_a_row_with_nothing_above_the_cut_off_has_q_mu_0(self):
         qs = np.array([[1e-9, 0.0, 5e-10], [0.3, 1e-9, 0.2]])
-        q_mu = cli._threshold_columns(qs, np.zeros(3), 0.1)[2]
-        assert q_mu.tolist() == [0.0, 0.2]
+        assert [row[2] for row in threshold_cells(qs, np.zeros(3), 0.1)] == [0.0, 0.2]
+        # the same rows kept as runs, popularity order 0, 2, 1: the last file
+        # above the cut-off is the largest index in a prefix of the order
+        order = np.array([0, 2, 1])
+        runs = [Placement._from_runs(values, counts, order, np.argsort(order),
+                                     np.minimum.accumulate(order[::-1])[::-1], 1.0)
+                for values, counts in (((1e-9, 5e-10, 0.0), (1, 1, 1)),
+                                       ((0.3, 0.2, 1e-9), (1, 1, 1)))]
+        assert [placement._last_above(1e-9) for placement in runs] == [0.0, 0.2]
+
+    def test_runs_rows_match_their_arrays(self):
+        # the solver's placements are kept as runs; the same ones copied to
+        # arrays take the other path of every cell, with the same bits
+        def copy(placement):
+            return Placement(q=placement.q.copy(), cache_size=placement.cache_size)
+
+        base = build_game_config(load_config())
+        for cfg in (base, dataclasses.replace(base, cache_size=1e-8),
+                    dataclasses.replace(base, popularity=zipf_popularity(200, 0.0))):
+            alphas = parse_grid("0:1:0.01")
+            ref = game.no_adversary_placement(cfg)
+            uniform = cfg.cache_size / cfg.library.num_files
+            for res in game.sweep_equilibria(cfg, alphas):
+                cells = cli._threshold_cells(res.q_star, ref, uniform)
+                assert repr(cells) == repr(cli._threshold_cells(copy(res.q_star), copy(ref),
+                                                                uniform))
 
     def test_q_mu_0_branch_keeps_its_bytes(self, capsys):
         # the cache is so small that no file holds more than 1e-9

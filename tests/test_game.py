@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greedy_oracle import greedy_placement, water_level
+from greedy_oracle import eager_fill, greedy_placement, water_level
 from lp_oracle import lp_equilibrium
 import cachegame
 from cachegame import cli, game, geometry, rate, simulator
@@ -406,19 +406,25 @@ class TestSegmentTable:
             with pytest.raises((TypeError, ValueError)):
                 value[0] = 0
         assert table.columns.readonly
+        # the N-long arrays that place a file in its run and give the best
+        # response
+        for array in (table.order, table.rank, table.least):
+            assert array.shape == (200,) and not array.flags.writeable
 
     def test_the_build_holds_few_s_by_n_arrays(self):
         # the weights, the one sort's result and the levels, plus N-long
-        # arrays: no S*N copy of the sorted weights or of file positions
+        # arrays (order, rank, least and the sums): no S*N copy of the
+        # sorted weights or of file positions
         n, s = 20_000, 4
         probs = zipf_popularity(n, 0.7).probs
         tracemalloc.start()
         try:
-            game._segments(probs, GAMMA_R45)
+            table = game._segments(probs, GAMMA_R45)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * s * n * 8
+        assert [a.size for a in (table.order, table.rank, table.least)] == [n] * 3
 
     def test_exact_ends_and_widths(self):
         for s in range(1, 9):
@@ -613,12 +619,24 @@ class TestGreedyOracle:
         return [make_config(0.0, zipf_popularity(n, 0.7).probs, GAMMA_R45, cache)
                 for n, cache in ((50, 45.0), (200, 150.0))]
 
+    @staticmethod
+    def n2000_configs():
+        # the benchmark's sweep: N = 2 000, M = 200 on the 0.05 alpha grid
+        probs = zipf_popularity(2000, 0.7).probs
+        return [make_config(round(0.05 * k, 12), probs, GAMMA_R45, 200.0)
+                for k in range(21)]
+
     @classmethod
     def cases(cls, source):
         return {"random": cls.random_configs, "tie_heavy": tie_heavy_configs,
                 "tiny_alpha": lambda: [tiny_alpha_config()],
                 "fused_sum": cls.fused_sum_configs, "large": cls.large_configs,
-                "window": cls.window_configs}[source]()
+                "window": cls.window_configs, "n2000": cls.n2000_configs}[source]()
+
+    @staticmethod
+    def fill(t, cfg):
+        """_fill's runs of cfg's solve on the segment table t."""
+        return game._fill(t, *game._floor(t, cfg.alpha, cfg.cache_size), cfg.cache_size)
 
     SOURCES = ["random", "tie_heavy", "tiny_alpha", "fused_sum", "large", "window"]
 
@@ -628,9 +646,8 @@ class TestGreedyOracle:
         for k, cfg in enumerate(cases):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
-            greedy = game._fill(t, *game._floor(t, cfg.alpha, cfg.cache_size),
-                                cfg.cache_size)[0]
-            assert np.array_equal(greedy,
+            values, counts, _, _ = self.fill(t, cfg)
+            assert np.array_equal(eager_fill(t.order, values, counts),
                                   greedy_placement(probs, gamma, cfg.alpha,
                                                    cfg.cache_size)), (source, k)
 
@@ -676,7 +693,7 @@ class TestGreedyOracle:
             t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
             mu, heavy, count, k = game._floor(t, cfg.alpha, cfg.cache_size)
             assert mu == t.lo[k]
-            cut = game._fill(t, mu, heavy, count, k, cfg.cache_size)[2]
+            cut = game._fill(t, mu, heavy, count, k, cfg.cache_size)[3]
             assert 2 * cfg.library.num_files < cut < heavy
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -689,15 +706,16 @@ class TestGreedyOracle:
         for k, cfg in enumerate(self.cases(source)):
             t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
             mu, heavy, count, level = game._floor(t, cfg.alpha, cfg.cache_size)
-            q, runs, _ = game._fill(t, mu, heavy, count, level, cfg.cache_size)
-            s = cfg.coverage.max_coverage
-            assert np.unique(q).size <= s + 2, (source, k)
+            values, counts, masses, _ = game._fill(t, mu, heavy, count, level,
+                                                   cfg.cache_size)
+            q = eager_fill(t.order, values, counts)
+            s, n = cfg.coverage.max_coverage, cfg.library.num_files
+            # at most S + 2 runs, none empty, that cover every file once
+            assert len(values) == len(counts) == len(masses) <= s + 2, (source, k)
+            assert min(counts) > 0 and sum(counts) == n, (source, k)
             staircase = q[t.order]
             assert np.all(np.diff(staircase) <= 0.0), (source, k)
-            # the runs descend and hold every entry of q
-            values = [value for value, _ in runs]
-            assert values == sorted(values, reverse=True), (source, k)
-            assert set(values) >= set(q.tolist()), (source, k)
+            assert list(values) == sorted(values, reverse=True), (source, k)
             if not t.lo[level] < mu < t.hi[level]:
                 continue
             interior += 1
@@ -714,11 +732,12 @@ class TestGreedyOracle:
         for k, cfg in enumerate(self.cases(source)):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
-            q, runs, _ = game._fill(t, *game._floor(t, cfg.alpha, cfg.cache_size),
-                                    cfg.cache_size)
-            placement = Placement(q=q, cache_size=cfg.cache_size)
+            values, counts, masses, _ = self.fill(t, cfg)
+            placement = Placement(q=eager_fill(t.order, values, counts),
+                                  cache_size=cfg.cache_size)
             exact = exact_legit_rate(placement.q, probs, gamma)
             bound = Fraction(probs.size, 2**53)
+            runs = list(zip(values, masses))
             for got in (legit_rate(placement, cfg.popularity, cfg.coverage, runs),
                         legit_rate(placement, cfg.popularity, cfg.coverage)):
                 assert abs(Fraction(got) - exact) <= bound, (source, k)
@@ -728,13 +747,40 @@ class TestGreedyOracle:
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
             n, s = probs.size, gamma.size
-            # the one integer array of S N entries holds levels, not files
+            # the one integer array of S N entries holds levels, not files;
+            # the others are N long
             arrays = {name: value for name, value in vars(t).items()
                       if isinstance(value, np.ndarray) and value.dtype.kind in "iu"}
-            assert sorted(arrays) == ["order", "segment"]
-            assert arrays["order"].size == n
+            assert sorted(arrays) == ["least", "order", "rank", "segment"]
+            assert [arrays[name].size for name in ("least", "order", "rank")] == [n] * 3
             assert arrays["segment"].size == s * n + 1
             assert int(arrays["segment"].max()) <= s
+            # rank inverts order; least[i] = min(order[i:]) by its recurrence
+            assert np.array_equal(t.rank[t.order], np.arange(n))
+            assert t.least[-1] == t.order[-1]
+            assert np.array_equal(t.least[:-1], np.minimum(t.order[:-1], t.least[1:]))
+
+    @pytest.mark.parametrize("source", [*SOURCES, "n2000"])
+    def test_the_placement_is_built_on_first_read(self, source):
+        """The solve keeps q* as its runs: q is built on first read, once,
+        read-only, with the bits of the fill written out, and j_star and
+        every entry read off the runs are those of q."""
+        for k, cfg in enumerate(self.cases(source)):
+            game._last_solve.clear()
+            res = equilibrium_placement(cfg)
+            t = game._last_solve.record.table
+            placement, n = res.q_star, cfg.library.num_files
+            entries = [placement._entry(j) for j in range(n)]
+            assert placement.num_files == n
+            assert "q" not in vars(placement), (source, k)
+            values, counts, _, _ = self.fill(t, cfg)
+            eager = Placement(q=eager_fill(t.order, values, counts),
+                              cache_size=cfg.cache_size).q
+            q = placement.q
+            assert q is placement.q and (q.dtype, q.flags.writeable) == (np.float64, False)
+            assert np.array_equal(q, eager), (source, k)
+            assert res.j_star == int(q.argmin()), (source, k)
+            assert entries == q.tolist(), (source, k)
 
 
 class TestSolveSlot:
@@ -961,16 +1007,20 @@ class TestSweepAndThresholds:
         rng = np.random.default_rng(1515)
         for _ in range(500):
             a, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
-            uniform = float(rng.random() * rng.choice([1.0, 1e-6, 1e3]))
-            qs = uniform + rng.normal(size=(a, n)) * rng.choice([1.0, 1e-9, 1e-17])
+            uniform = float(rng.random() * rng.choice([1.0, 1e-6, 1e-3]))
+            qs = np.clip(uniform + rng.normal(size=(a, n)) * rng.choice([1.0, 1e-9, 1e-17]),
+                         0.0, 1.0)
             qs[0] = uniform                         # a row equal to uniform
             qs[-1, :n // 2] = uniform
             q_ref = rng.random(n)
-            expected = (np.abs(qs - q_ref).max(axis=1), np.abs(qs - uniform).max(axis=1))
-            # the dist_noadv and dist_uniform columns; bytes, so that -0.0
-            # and 0.0 differ
-            columns = cli._threshold_columns(qs, q_ref, uniform)[3:]
-            assert [d.tobytes() for d in columns] == [d.tobytes() for d in expected]
+            ref = Placement(q=q_ref, cache_size=n)
+            for q in qs:
+                expected = [np.abs(q - q_ref).max(), np.abs(q - uniform).max()]
+                # the dist_noadv and dist_uniform cells; bytes, so that -0.0
+                # and 0.0 differ
+                cells = cli._threshold_cells(Placement(q=q, cache_size=n), ref, uniform)[3:]
+                assert [np.float64(d).tobytes() for d in cells] == \
+                    [d.tobytes() for d in expected]
 
     def test_each_placement_is_classified_by_its_distances(self):
         cfg = reference_config()
@@ -1162,6 +1212,40 @@ class TestThresholdScan:
             with pytest.raises(ValueError) as got:
                 detect_thresholds(cfg, form(grid), results)
             assert str(got.value) == str(expected.value)
+
+    def test_runs_and_arrays_agree(self):
+        # rows and references kept as runs, and the same ones copied to
+        # plain arrays, in all four pairings: the same bits
+        def copy(placement):
+            return Placement(q=placement.q.copy(), cache_size=placement.cache_size)
+
+        for cfg, grid in threshold_instances():
+            results = sweep_equilibria(cfg, grid)
+            ref = no_adversary_placement(cfg)
+            for res in results:
+                row = res.q_star
+                spreads = {repr(a._spread(b)) for a in (row, copy(row))
+                           for b in (ref, copy(ref))}
+                assert len(spreads) == 1, (cfg, grid)
+
+    def test_a_sweep_and_its_thresholds_build_no_placement(self):
+        n = 20_000
+        cfg = make_config(0.0, zipf_popularity(n, 0.7).probs, GAMMA_R45, n / 10)
+        grid = np.linspace(0.0, 1.0, 101)
+        game._last_solve.clear()
+        equilibrium_placement(cfg.with_alpha(0.5))      # the table, built outside
+        tracemalloc.start()
+        try:
+            results = sweep_equilibria(cfg, grid)
+            detection = detect_thresholds(cfg, grid, results)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the fill's window (a gather and its running sums) at a time; the
+        # 101 placements written out would take 16 MB
+        assert peak < 4 * n * 8
+        assert not any("q" in vars(res.q_star) for res in results)
+        assert detection == stacked_thresholds(cfg, grid, results)
 
     def test_stacks_no_rows(self):
         n = 20_000

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,57 @@ class TestTypes:
         for num_files, cache in [(4, np.nan), (3, -1.0)]:
             with pytest.raises(ValueError, match="cache size must be positive"):
                 Placement.uniform(num_files, cache)
+        # an infinite cache, or a cache size that is no real number, is
+        # named as the fault, not met by the comparison's TypeError
+        for cache in [np.inf, None, "3", [1.0], True, 1j]:
+            match = f"^cache size must be positive and finite, got {re.escape(repr(cache))}$"
+            with pytest.raises(ValueError, match=match):
+                Placement(q=[0.5], cache_size=cache)
+            with pytest.raises(ValueError, match=match):
+                Placement.uniform(4, cache)
+        # numpy's numbers pass
+        for cache in [np.float64(1.5), np.int64(2), np.float32(0.5)]:
+            assert Placement(q=[0.5], cache_size=cache).cache_size == cache
+
+    @staticmethod
+    def runs(values, counts, cache_size=2.0):
+        """A placement of the runs over three files, popularity order 2, 0, 1."""
+        order = np.array([2, 0, 1])
+        return Placement._from_runs(values, counts, order, np.argsort(order),
+                                    np.minimum.accumulate(order[::-1])[::-1], cache_size)
+
+    def test_runs_placement(self):
+        placement = self.runs((1.0, 0.25), (1, 2))
+        # num_files and single entries are read off the runs; q is built on
+        # first read, once, read-only
+        assert placement.num_files == 3
+        assert [placement._entry(j) for j in range(3)] == [0.25, 0.25, 1.0]
+        assert placement._argmin() == 0
+        assert "q" not in vars(placement)
+        q = placement.q
+        assert q.tolist() == [0.25, 0.25, 1.0] and not q.flags.writeable
+        assert placement.q is q
+        with pytest.raises(AttributeError, match="'Placement' object has no attribute 'p'"):
+            placement.p
+        # entries within PROB_TOL of the box are clipped as q's are
+        assert self.runs((1 + 1e-10, -1e-10), (2, 1)).q.tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("values, counts, cache, match", [
+        ((1.2, 0.0), (1, 2), 2.0, r"\[0, 1\]"),
+        ((1.0, -0.1), (1, 2), 2.0, r"\[0, 1\]"),
+        ((1.0, np.nan), (1, 2), 2.0, r"\[0, 1\]"),
+        ((np.nan, 0.5), (1, 2), 2.0, r"\[0, 1\]"),
+        # 1 + 2 * 0.5 + 2e-6 > M + CAPACITY_TOL
+        ((1.0, 0.5 + 1e-6), (1, 2), 2.0, "exceeds cache capacity"),
+        ((1.0, 0.5), (1, 1), 2.0, "cover every file once"),
+        ((1.0, 0.5, 0.0), (1, 2, 0), 2.0, "cover every file once"),
+        ((1.0,), (1, 2), 2.0, "cover every file once"),
+        ((1.0, 0.5), (1, 2), np.inf, "cache size must be positive and finite"),
+    ], ids=["above_one", "below_zero", "nan_last", "nan_first", "over_capacity",
+            "too_few_files", "an_empty_run", "fewer_values", "infinite_cache"])
+    def test_runs_placement_rejects(self, values, counts, cache, match):
+        with pytest.raises(ValueError, match=match):
+            self.runs(values, counts, cache)
 
     @pytest.mark.parametrize("q", [
         [0.5, np.nan, 0.5], [0.2, 0.3, np.nan], [0.5, np.inf], [0.5, -np.inf],
