@@ -131,8 +131,9 @@ def cmd_sweep_alpha(cfg: dict, args):
 
 
 def cmd_sweep_r(cfg: dict, args):
-    # only the coverage changes with the radius, so the rest is built once;
-    # every radius is checked before the first solve
+    # only the coverage changes with the radius, so the rest is built once,
+    # and the solver builds only the coverage half of each radius's segment
+    # table; every radius is checked before the first solve
     first, *rest = args.r_grid
     base = build_game_config(dict(cfg, sbs_radius_m=first))
     configs = [base, *(dataclasses.replace(base, coverage=geometry.coverage_profile(

@@ -48,14 +48,22 @@ Allocation Problems, 1988):
   x_a > p_max: nothing above mu is heavy, q* is uniform.
 - Cost per solve.  The module keeps one slot, keyed by the popularity and
   coverage objects themselves (compared with `is`), that holds their segment
-  table; the greedy reads nothing else.  The water level is read off the
-  table's steps g_m = m p_(m+1) - P_m (p ascending), which never decrease
-  in exact arithmetic, so (a/(1-a) + P_m) / m is least at the first m with
-  g_m >= a/(1-a): x_a is its value there, which one bisection over the
-  running maximum of the computed steps and one division give, within a
-  relative (N + 2) 2^-53 of the exact minimum.  The floor loop runs on
-  Python numbers and bisects a level's column, about log2 N steps, only on
-  the levels it visits.  The heavy length is summed exactly, in integers
+  table; the greedy reads nothing else.  The table has two halves.  The
+  popularity half is built from the popularity alone: the popularity
+  order, its inverse, its suffix minimum and prefix maximum, the sums P_m
+  and the steps below, all N long.  The coverage half is built from gamma
+  and holds the popularity half by reference: the levels' slopes c_k, ends
+  and exact widths, and the S*N weights and sorted segments' levels.  A
+  new coverage object on the slot's popularity object (a radius sweep)
+  builds only the coverage half, on the popularity half of the table it
+  replaces; a new popularity object builds both.  The water level is read
+  off the table's steps g_m = m p_(m+1) - P_m (p ascending), which never
+  decrease in exact arithmetic, so (a/(1-a) + P_m) / m is least at the
+  first m with g_m >= a/(1-a): x_a is its value there, which one bisection
+  over the running maximum of the computed steps and one division give,
+  within a relative (N + 2) 2^-53 of the exact minimum.  The floor loop
+  runs on Python numbers and bisects a level's column, about log2 N steps,
+  only on the levels it visits.  The heavy length is summed exactly, in integers
   over one power-of-two denominator, and rounded once, so q* has the same
   bits on every CPU and BLAS build.  A floor strictly inside its level
   solves that level's equation, so the budget is the heavy length and
@@ -71,7 +79,8 @@ Allocation Problems, 1988):
   O(S)) and written out only when someone reads q: one repeat and one
   scatter through the popularity order.  The best response is the least
   file index among the runs of the least value, one read of the table's
-  suffix minimum of the order; legit_rate reads the runs, and
+  suffix minimum of the order, and the last entry above a floor (the CLI's
+  q_mu) one read of its prefix maximum; legit_rate reads the runs, and
   adversary_rate one entry through the table's inverse of the order.  So a
   solve writes no N-vector unless q is read; a floor inside its level
   makes no pass over the files at all, and one on a level end only its
@@ -81,10 +90,10 @@ Allocation Problems, 1988):
   piece of either, by the rule at equilibrium_placement's reuse test,
   reuses its fill, placement, best response and rates, and mixes only the
   rates by its own alpha.  with_alpha and dataclasses.replace share the
-  objects, so an alpha or cache sweep hits; a replaced coverage, or a
-  config built afresh from equal vectors, builds its own table.  The slot
-  is one immutable record that a solve reads once and a miss replaces
-  whole, so threads never mix two configs.  detect_thresholds reads the
+  objects, so an alpha or cache sweep hits; a replaced coverage builds its
+  own coverage half, and a config built afresh from equal vectors both
+  halves of its own table.  The slot is one immutable record that a solve
+  reads once and a miss replaces whole, so threads never mix two configs.  detect_thresholds reads the
   placements one at a time, each against the no-adversary one by merging
   their runs' boundaries in O(S), and stops at the second threshold.
 """
@@ -155,75 +164,106 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
 
 
 @dataclass(frozen=True)
+class _PopularityHalf:
+    """The popularity half of a segment table: what depends on the
+    popularity vector alone, shared by the tables of every coverage solved
+    with the same popularity object.
+
+    Every field is read-only.  order lists the files most popular first,
+    ties in index order; rank is its inverse, each file's position in it;
+    least[i] is the least file index in order[i:] and greatest[i] the
+    largest in order[:i + 1].  cumprobs views P_m, the sum of the m smallest
+    probabilities, at index m - 1; N is its length.  steps views the running
+    maximum of the steps g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
+    """
+
+    order: np.ndarray
+    rank: np.ndarray
+    least: np.ndarray
+    greatest: np.ndarray
+    cumprobs: memoryview
+    steps: memoryview
+
+
+@dataclass(frozen=True)
 class _Segments:
-    """The segment table of one (popularity, coverage) pair.
+    """The segment table of one (popularity, coverage) pair: its coverage
+    half, built from gamma, holding the popularity half by reference.
 
     Every field is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
     per unit of popularity; hi[k] and its width hi[k] - lo[k] are exactly
-    hi_exact[k] / scale and width_exact[k] / scale.  order lists the files
-    most popular first, ties in index order.  Sorted segment i belongs to
-    level segment[i + 1]; segment[0] is S, a level of length 0 that starts
-    the running sums.  Equal weights sort level by level, lower q first.
-    No per-segment file index is kept: each level's segments sort in
-    popularity order, so a fill's segments of a level belong to the first
-    files of order.  columns views the negated weights -p_j c_l level by
-    level, each level's N in popularity order, so ascending within a level.
-    cumprobs views P_m, the sum of the m smallest probabilities, at index
-    m - 1; N is its length.  steps views the running maximum of the steps
-    g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.  rank is the inverse
-    of order, each file's position in it, and least[i] the least file index
-    in order[i:].
+    hi_exact[k] / scale and width_exact[k] / scale.  Sorted segment i
+    belongs to level segment[i + 1]; segment[0] is S, a level of length 0
+    that starts the running sums.  Equal weights sort level by level, lower
+    q first.  No per-segment file index is kept: each level's segments sort
+    in popularity order, so a fill's segments of a level belong to the first
+    files of popularity.order.  columns views the negated weights -p_j c_l
+    level by level, each level's N in popularity order, so ascending within
+    a level.
     """
 
+    popularity: _PopularityHalf
     c: tuple[float, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     hi_exact: tuple[int, ...]
     width_exact: tuple[int, ...]
     scale: int
-    order: np.ndarray
-    rank: np.ndarray
-    least: np.ndarray
     segment: np.ndarray
     columns: memoryview
-    cumprobs: memoryview
-    steps: memoryview
 
 
-def _segments(probs: np.ndarray, gamma: np.ndarray) -> _Segments:
-    """The segment table of the module docstring for the float64 popularity
-    and coverage vectors; it depends on nothing else."""
-    s, n = gamma.size, probs.size
+def _popularity_half(probs: np.ndarray) -> _PopularityHalf:
+    """The popularity half of the segment table of the float64 popularity
+    vector probs; it depends on nothing else."""
+    n = probs.size
     # files most popular first, ties in index order
-    by_popularity = np.argsort(-probs, kind="stable")
-    descending = probs[by_popularity]
-    hi = [1.0 / k for k in range(s, 0, -1)]       # segment ends, increasing q
-    lo = [0.0, *hi[:-1]]
-    c = (np.arange(1, s + 1) * gamma).cumsum()[::-1]      # c_k of each segment
-    columns = np.multiply.outer(-c, descending).ravel()
-    # the stable sort merges the S ascending levels; equal weights come out
-    # level by level, lower q first, and each level's in popularity order
-    segment = np.concatenate(([s], np.argsort(columns, kind="stable")))
-    segment[1:] //= n                             # the level of each segment
+    order = np.argsort(-probs, kind="stable")
     # the ascending probabilities, so the sums of np.sort(probs) bit for bit
-    ascending = descending[::-1]
+    ascending = probs[order[::-1]]
     cumprobs = ascending.cumsum()
     steps = np.maximum.accumulate(np.arange(1.0, n) * ascending[1:] - cumprobs[:-1])
-    rank = np.empty(n, dtype=by_popularity.dtype)
-    rank[by_popularity] = np.arange(n)
-    least = np.minimum.accumulate(by_popularity[::-1])[::-1]
-    for array in (columns, by_popularity, rank, least, segment, cumprobs, steps):
+    rank = np.empty(n, dtype=order.dtype)
+    rank[order] = np.arange(n)
+    least = np.minimum.accumulate(order[::-1])[::-1]
+    greatest = np.maximum.accumulate(order)
+    for array in (order, rank, least, greatest, cumprobs, steps):
+        array.setflags(write=False)
+    return _PopularityHalf(order=order, rank=rank, least=least, greatest=greatest,
+                           cumprobs=memoryview(cumprobs), steps=memoryview(steps))
+
+
+def _segments(probs: np.ndarray, gamma: np.ndarray,
+              half: _PopularityHalf | None = None) -> _Segments:
+    """The segment table of the module docstring for the float64 popularity
+    and coverage vectors; it depends on nothing else.  Only its coverage
+    half is built when `half`, the popularity half of probs, is given."""
+    if half is None:
+        half = _popularity_half(probs)
+    s, n = gamma.size, probs.size
+    hi = [1.0 / k for k in range(s, 0, -1)]       # segment ends, increasing q
+    lo = [0.0, *hi[:-1]]
+    # c_k of each segment, added in the order of numpy's cumsum
+    c = [*itertools.accumulate(d * g for d, g in enumerate(gamma.tolist(), 1))][::-1]
+    # the weights, then a -inf that sorts first: its index S*N gives level S
+    weights = np.empty(s * n + 1)
+    weights[-1] = -math.inf
+    np.multiply.outer([-x for x in c], probs[half.order],
+                      out=weights[:-1].reshape(s, n))
+    # the stable sort merges the S ascending levels; equal weights come out
+    # level by level, lower q first, and each level's in popularity order
+    segment = np.argsort(weights, kind="stable")
+    segment //= n                                 # the level of each segment
+    for array in (weights, segment):
         array.setflags(write=False)
     # every float is an integer over a power of two, so the largest
     # denominator is a multiple of all the others
     ratios = [v.as_integer_ratio() for v in [*hi, *map(operator.sub, hi, lo)]]
     scale = max(den for _, den in ratios)
     exact = tuple(num * (scale // den) for num, den in ratios)
-    return _Segments(c=tuple(c.tolist()), lo=tuple(lo), hi=tuple(hi),
+    return _Segments(popularity=half, c=tuple(c), lo=tuple(lo), hi=tuple(hi),
                      hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
-                     order=by_popularity, rank=rank, least=least, segment=segment,
-                     columns=memoryview(columns),
-                     cumprobs=memoryview(cumprobs), steps=memoryview(steps))
+                     segment=segment, columns=memoryview(weights[:-1]))
 
 
 def _water_level(t: _Segments, alpha: float) -> float:
@@ -233,10 +273,10 @@ def _water_level(t: _Segments, alpha: float) -> float:
         return 0.0
     if alpha == 1.0:
         return math.inf
-    a = alpha / (1.0 - alpha)
+    a, half = alpha / (1.0 - alpha), t.popularity
     # index i holds rank m = i + 1, and i = N - 1 when no step reaches a
-    i = bisect.bisect_left(t.steps, a)
-    return (a + t.cumprobs[i]) / (i + 1)
+    i = bisect.bisect_left(half.steps, a)
+    return (a + half.cumprobs[i]) / (i + 1)
 
 
 def _floor(t: _Segments, alpha: float,
@@ -245,7 +285,7 @@ def _floor(t: _Segments, alpha: float,
     t; the number of heavy segments, a prefix of the sorted order; the heavy
     segments of each level, the first files of the popularity order; and
     the level k of the floor."""
-    n, s = len(t.cumprobs), len(t.c)
+    n, s = len(t.popularity.cumprobs), len(t.c)
     c, lo, hi, columns = t.c, t.lo, t.hi, t.columns
     x_a = _water_level(t, alpha)
     for k in range(s):                            # levels, increasing q
@@ -273,7 +313,8 @@ def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
     and popularity masses, and the number of segments the fill covers.
     Equal weights fill level by level, lower q first, and each level's in
     popularity order, ties in index order, so the values never increase."""
-    n, s = len(t.cumprobs), len(t.c)
+    cumprobs = t.popularity.cumprobs
+    n, s = len(cumprobs), len(t.c)
     # each level's length above mu
     lengths = [max(h - max(l, mu), 0.0) for l, h in zip(t.lo, t.hi)]
     partial = None
@@ -320,11 +361,11 @@ def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
         values.insert(s - level, mu + (sums[level] + fill))
         counts.insert(s - level, 1)
     # a run's mass is a difference of the sums of the smallest probabilities
-    runs, end, above = [], 0, t.cumprobs[n - 1]
+    runs, end, above = [], 0, cumprobs[n - 1]
     for value, size in zip(values, counts):
         if size:
             end += size
-            below = t.cumprobs[n - end - 1] if end < n else 0.0
+            below = cumprobs[n - end - 1] if end < n else 0.0
             runs.append((value, size, above - below))
             above = below
     values, counts, masses = zip(*runs)
@@ -362,8 +403,11 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
     record = _last_solve.record
     if (record is None or record.popularity is not popularity
             or record.coverage is not coverage):
+        # a new coverage alone keeps the popularity half of the table it replaces
+        half = (record.table.popularity if record is not None
+                and record.popularity is popularity else None)
         record = _Record(popularity, coverage,
-                         _segments(popularity.probs, coverage.gamma), None, None)
+                         _segments(popularity.probs, coverage.gamma, half), None, None)
     mu, heavy, count, k = _floor(record.table, cfg.alpha, cache)
     # A kept solve is reused exactly on an equal M, a floor with the same bits,
     # and its heavy count or both past its cut.  _fill sees alpha only through
@@ -382,10 +426,10 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
             rates = total_rate(cfg.alpha, solve.rates.r_legit, solve.rates.r_adv)
             break
     else:
-        table = record.table
-        values, counts, masses, cut = _fill(table, mu, heavy, count, k, cache)
-        placement = Placement._from_runs(values, counts, table.order, table.rank,
-                                         table.least, cache)
+        half = record.table.popularity
+        values, counts, masses, cut = _fill(record.table, mu, heavy, count, k, cache)
+        placement = Placement._from_runs(values, counts, half.order, half.rank,
+                                         half.least, half.greatest, cache)
         # h is flat past either end of [0, 1], so the values need no clipping
         j_star, rates = _rate(placement, cfg, zip(values, masses))
         solve = _Solve(cache, mu, heavy, cut, placement, j_star, rates)

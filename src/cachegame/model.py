@@ -118,14 +118,16 @@ class CoverageProfile:
         return self.gamma.size
 
 
-def _check_cache_size(value) -> None:
-    """ValueError naming `value` unless it is a real, finite, positive
-    number (numpy's pass, a bool does not)."""
+def _check_cache_size(value, num_files=math.inf) -> None:
+    """ValueError naming `value` unless it is a real number (numpy's pass, a
+    bool does not) in (0, num_files), so finite and positive."""
     # written so that NaN fails the test; a float skips the slower ABC check
     if (type(value) is not float and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Real))
-            or not 0 < value < math.inf):
-        raise ValueError(f"cache size must be positive and finite, got {value!r}")
+            or not 0 < value < num_files):
+        bound = ("be positive and finite" if num_files == math.inf
+                 else f"satisfy 0 < M < N = {num_files}")
+        raise ValueError(f"cache size must {bound}, got {value!r}")
 
 
 def _entries(q: np.ndarray) -> np.ndarray:
@@ -145,11 +147,12 @@ def _entries(q: np.ndarray) -> np.ndarray:
 
 # runs of files at one value, read in `order`: values[i] on the counts[i]
 # files order[ends[i] - counts[i]:ends[i]]; rank is the inverse of order,
-# and least[i] the least file index in order[i:]
-_Runs = namedtuple("_Runs", "values counts ends order rank least")
+# least[i] the least file index in order[i:] and greatest[i] the largest
+# in order[:i + 1]
+_Runs = namedtuple("_Runs", "values counts ends order rank least greatest")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Placement:
     """Proportional placement q_j = m_j / n, limited by the SBS cache size M.
 
@@ -157,7 +160,9 @@ class Placement:
     kept beside the fields as `_runs`, None for a placement built from q.
     Such a placement builds q on first read, once, and reads `num_files`,
     its least cached file, single entries, its distances and its last
-    entry above a floor off the runs, in O(S) for S runs.
+    entry above a floor off the runs, in O(S) for S runs (the last entry
+    above a floor in O(1) more).  Placements compare and hash by identity:
+    compare their q arrays to compare their entries.
     """
 
     q: np.ndarray
@@ -175,12 +180,13 @@ class Placement:
 
     @classmethod
     def _from_runs(cls, values, counts, order: np.ndarray, rank: np.ndarray,
-                   least: np.ndarray, cache_size: float) -> "Placement":
+                   least: np.ndarray, greatest: np.ndarray,
+                   cache_size: float) -> "Placement":
         """The placement that holds values[i] on the next counts[i] files
-        of `order`, a permutation of the files with inverse `rank` and
-        suffix minimum `least`, the values never increasing; its entries
-        are checked and clipped as q's are, and its capacity on the exact
-        sum of the runs, all in O(len(values))."""
+        of `order`, a permutation of the files with inverse `rank`, suffix
+        minimum `least` and prefix maximum `greatest`, the values never
+        increasing; its entries are checked and clipped as q's are, and its
+        capacity on the exact sum of the runs, all in O(len(values))."""
         _check_cache_size(cache_size)
         values, counts = tuple(values), tuple(counts)
         # numpy only for entries outside the box; written so that NaN goes there
@@ -194,7 +200,8 @@ class Placement:
         placement = object.__new__(cls)
         object.__setattr__(placement, "cache_size", cache_size)
         object.__setattr__(placement, "_runs", _Runs(
-            values, counts, tuple(itertools.accumulate(counts)), order, rank, least))
+            values, counts, tuple(itertools.accumulate(counts)), order, rank, least,
+            greatest))
         return placement
 
     def __getattr__(self, name):
@@ -266,7 +273,7 @@ class Placement:
         count = sum(value > floor for value in runs.values)
         if not count:
             return 0.0
-        return self._entry(int(np.maximum.reduce(runs.order[:runs.ends[count - 1]])))
+        return self._entry(runs.greatest.item(runs.ends[count - 1] - 1))
 
     @classmethod
     def uniform(cls, num_files: int, cache_size: float) -> "Placement":
@@ -288,10 +295,15 @@ class GameConfig:
     cache_size: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        alpha = self.alpha
+        # a float skips the slower ABC check
+        if type(alpha) is not float and (isinstance(alpha, bool)
+                                         or not isinstance(alpha, numbers.Real)):
+            raise ValueError(f"alpha must be a real number, got {alpha!r}")
+        # written so that NaN fails the test
+        if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 < self.cache_size < self.library.num_files:
-            raise ValueError("cache size must satisfy 0 < M < N")
+        _check_cache_size(self.cache_size, self.library.num_files)
         if self.popularity.num_files != self.library.num_files:
             raise ValueError("popularity size does not match the library")
 

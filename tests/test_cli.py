@@ -37,9 +37,12 @@ def read_csv(path):
 @pytest.fixture
 def calls(monkeypatch):
     """Call counts of equilibrium_placement, no_adversary_placement,
-    evaluate, quantize_placement and zipf_popularity."""
+    evaluate, quantize_placement and zipf_popularity, and of the solver's
+    table builds: _popularity_half builds a popularity half and _segments
+    a coverage half."""
     counts = {"equilibrium_placement": 0, "no_adversary_placement": 0,
-              "evaluate": 0, "quantize_placement": 0, "zipf_popularity": 0}
+              "evaluate": 0, "quantize_placement": 0, "zipf_popularity": 0,
+              "_popularity_half": 0, "_segments": 0}
 
     def count(name, *modules):
         # patch every namespace that may hold the function, so a call
@@ -58,6 +61,8 @@ def calls(monkeypatch):
     count("evaluate", game)
     count("quantize_placement", model, simulator, cli)
     count("zipf_popularity", model, cli)
+    count("_popularity_half", game)
+    count("_segments", game)
     return counts
 
 
@@ -206,6 +211,8 @@ class TestSweepR:
         assert main(["sweep-r", "--r-grid", "43:60:0.5"]) == 0
         assert calls["zipf_popularity"] == 1
         assert calls["equilibrium_placement"] == 35
+        # each radius builds only the coverage half of its segment table
+        assert (calls["_popularity_half"], calls["_segments"]) == (1, 35)
 
     def test_config_radius_is_never_read(self, capsys):
         # the grid sets every radius, so an invalid config radius is unused
@@ -338,7 +345,8 @@ class TestThresholdColumns:
         # above the cut-off is the largest index in a prefix of the order
         order = np.array([0, 2, 1])
         runs = [Placement._from_runs(values, counts, order, np.argsort(order),
-                                     np.minimum.accumulate(order[::-1])[::-1], 1.0)
+                                     np.minimum.accumulate(order[::-1])[::-1],
+                                     np.maximum.accumulate(order), 1.0)
                 for values, counts in (((1e-9, 5e-10, 0.0), (1, 1, 1)),
                                        ((0.3, 0.2, 1e-9), (1, 1, 1)))]
         assert [placement._last_above(1e-9) for placement in runs] == [0.0, 0.2]
@@ -545,6 +553,10 @@ class TestSolveCounts:
         # the analytic reference rates the packets the simulator deployed
         assert main(["simulate", *common, "--requests", "1000"]) == 0
         assert calls["quantize_placement"] == 3
+
+    def test_thresholds_build_one_table(self, calls):
+        assert main(["thresholds", "--alpha-grid", "0,0.5,1"]) == 0
+        assert (calls["_popularity_half"], calls["_segments"]) == (1, 1)
 
 
 class TestExactCoverage:

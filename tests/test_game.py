@@ -51,11 +51,16 @@ def reference_config(alpha=0.0):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Each segment table built from here on, recorded by wrapping
-    game._segments; the solve slot starts empty."""
-    built, build = [], game._segments
-    monkeypatch.setattr(game, "_segments",
-                        lambda probs, gamma: built.append(build(probs, gamma)) or built[-1])
+    """Each half of a segment table built from here on, recorded by wrapping
+    game._popularity_half (`popularity`) and game._segments (`coverage`:
+    every table built, so each coverage half); the solve slot starts empty."""
+    built = types.SimpleNamespace(popularity=[], coverage=[])
+    for name, halves in (("_popularity_half", built.popularity),
+                         ("_segments", built.coverage)):
+        def record(*args, build=getattr(game, name), halves=halves):
+            halves.append(build(*args))
+            return halves[-1]
+        monkeypatch.setattr(game, name, record)
     game._last_solve.clear()
     return built
 
@@ -372,7 +377,7 @@ class TestEquilibriumPlacement:
 class TestSegmentTable:
     def test_one_sort_per_sweep(self, builds):
         sweep_equilibria(reference_config(), np.linspace(0, 1, 21))
-        assert len(builds) == 1
+        assert (len(builds.popularity), len(builds.coverage)) == (1, 1)
 
     def test_alternating_instances_match_cold_solves(self):
         libraries = [zipf_popularity(200, z).probs for z in (0.7, 0.8)]
@@ -389,26 +394,38 @@ class TestSegmentTable:
             cold = equilibrium_placement(cfg).q_star.q
             assert all(np.array_equal(q, cold) for q in qs)
 
-    def test_each_profile_change_rebuilds_the_whole_table(self, builds):
+    def test_a_profile_change_rebuilds_only_the_coverage_half(self, builds):
         base = make_config(0.3, zipf_popularity(200, 0.7).probs, GAMMA_R45, 20.0)
         profiles = [base.coverage, CoverageProfile(gamma=[0.4, 0.3, 0.2, 0.1])]
         for coverage in profiles * 3:
             equilibrium_placement(dataclasses.replace(base, coverage=coverage))
         # one popularity under alternating profiles: each change of profile
-        # rebuilds the whole table, popularity part included
-        assert len(builds) == 6
+        # builds a coverage half on the same popularity-half object
+        assert (len(builds.popularity), len(builds.coverage)) == (1, 6)
+        assert all(t.popularity is builds.popularity[0] for t in builds.coverage)
+        # a new popularity object builds both halves, and the next profile
+        # change keeps the new popularity half
+        other = dataclasses.replace(base, popularity=zipf_popularity(200, 0.8))
+        equilibrium_placement(other)
+        equilibrium_placement(dataclasses.replace(other, coverage=profiles[1]))
+        assert (len(builds.popularity), len(builds.coverage)) == (2, 8)
+        assert [t.popularity for t in builds.coverage[-2:]] == [builds.popularity[1]] * 2
 
     def test_arrays_are_read_only(self):
         cfg = reference_config()
         table = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
-        for name, value in vars(table).items():
+        half = table.popularity
+        assert isinstance(half, game._PopularityHalf)
+        for name, value in [*vars(table).items(), *vars(half).items()]:
+            if value is half:
+                continue
             # tuples, read-only memoryviews and read-only arrays refuse a write
             with pytest.raises((TypeError, ValueError)):
                 value[0] = 0
         assert table.columns.readonly
-        # the N-long arrays that place a file in its run and give the best
-        # response
-        for array in (table.order, table.rank, table.least):
+        # the N-long arrays that place a file in its run, give the best
+        # response and the last file above a floor
+        for array in (half.order, half.rank, half.least, half.greatest):
             assert array.shape == (200,) and not array.flags.writeable
 
     def test_the_build_holds_few_s_by_n_arrays(self):
@@ -424,7 +441,25 @@ class TestSegmentTable:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * s * n * 8
-        assert [a.size for a in (table.order, table.rank, table.least)] == [n] * 3
+        half = table.popularity
+        assert [a.size for a in (half.order, half.rank, half.least, half.greatest)] == [n] * 4
+
+    def test_a_coverage_rebuild_holds_no_n_long_array(self):
+        # on a kept popularity half the build holds at most the weights and
+        # their levels, S*N + 1 words each: no N-long array beside them
+        n, s = 20_000, 4
+        probs = zipf_popularity(n, 0.7).probs
+        half = game._segments(probs, GAMMA_R45).popularity
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = game._segments(probs, np.array([0.4, 0.3, 0.2, 0.1]), half)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = 2 * (s * n + 1) * 8
+        assert kept <= current - before and peak - before < kept + n * 8
+        assert table.popularity is half
 
     def test_exact_ends_and_widths(self):
         for s in range(1, 9):
@@ -441,10 +476,10 @@ class TestSegmentTable:
         cfg = reference_config()
         first = equilibrium_placement(cfg)
         equilibrium_placement(cfg.with_alpha(0.5))
-        assert len(builds) == 1
+        assert (len(builds.popularity), len(builds.coverage)) == (1, 1)
         fresh = equilibrium_placement(dataclasses.replace(
             cfg, popularity=PopularityDist(probs=cfg.popularity.probs)))
-        assert len(builds) == 2
+        assert (len(builds.popularity), len(builds.coverage)) == (2, 2)
         assert fresh.q_star.q.tobytes() == first.q_star.q.tobytes()
 
     def test_a_replaced_coverage_gets_its_own_table(self, builds):
@@ -452,11 +487,11 @@ class TestSegmentTable:
         base = reference_config(0.3)
         equilibrium_placement(base)
         equilibrium_placement(dataclasses.replace(base, cache_size=50.0))
-        assert len(builds) == 1
+        assert (len(builds.popularity), len(builds.coverage)) == (1, 1)
         gamma = [0.4, 0.3, 0.2, 0.1]
         warm = equilibrium_placement(dataclasses.replace(
             base, coverage=CoverageProfile(gamma=gamma)))
-        assert len(builds) == 2
+        assert (len(builds.popularity), len(builds.coverage)) == (1, 2)
         cold = equilibrium_placement(make_config(0.3, base.popularity.probs, gamma, 20.0))
         assert TestSolveSlot.bits(warm) == TestSolveSlot.bits(cold)
 
@@ -647,7 +682,7 @@ class TestGreedyOracle:
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
             values, counts, _, _ = self.fill(t, cfg)
-            assert np.array_equal(eager_fill(t.order, values, counts),
+            assert np.array_equal(eager_fill(t.popularity.order, values, counts),
                                   greedy_placement(probs, gamma, cfg.alpha,
                                                    cfg.cache_size)), (source, k)
 
@@ -666,7 +701,7 @@ class TestGreedyOracle:
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
             n, s = probs.size, gamma.size
-            assert np.array_equal(t.order, np.argsort(-probs, kind="stable"))
+            assert np.array_equal(t.popularity.order, np.argsort(-probs, kind="stable"))
             assert t.segment[0] == s
             levels = t.segment[1:].tolist()
             assert sorted(levels) == [l for l in range(s) for _ in range(n)], k
@@ -677,7 +712,7 @@ class TestGreedyOracle:
                 rank.append(seen[l])
                 seen[l] += 1
             c = t.c
-            descending = probs[t.order].tolist()
+            descending = probs[t.popularity.order].tolist()
             weights = [c[l] * descending[r] for l, r in zip(levels, rank)]
             assert all(a >= b for a, b in zip(weights, weights[1:])), k
             # on bit-equal weights the level never decreases
@@ -708,12 +743,12 @@ class TestGreedyOracle:
             mu, heavy, count, level = game._floor(t, cfg.alpha, cfg.cache_size)
             values, counts, masses, _ = game._fill(t, mu, heavy, count, level,
                                                    cfg.cache_size)
-            q = eager_fill(t.order, values, counts)
+            q = eager_fill(t.popularity.order, values, counts)
             s, n = cfg.coverage.max_coverage, cfg.library.num_files
             # at most S + 2 runs, none empty, that cover every file once
             assert len(values) == len(counts) == len(masses) <= s + 2, (source, k)
             assert min(counts) > 0 and sum(counts) == n, (source, k)
-            staircase = q[t.order]
+            staircase = q[t.popularity.order]
             assert np.all(np.diff(staircase) <= 0.0), (source, k)
             assert list(values) == sorted(values, reverse=True), (source, k)
             if not t.lo[level] < mu < t.hi[level]:
@@ -733,7 +768,7 @@ class TestGreedyOracle:
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
             values, counts, masses, _ = self.fill(t, cfg)
-            placement = Placement(q=eager_fill(t.order, values, counts),
+            placement = Placement(q=eager_fill(t.popularity.order, values, counts),
                                   cache_size=cfg.cache_size)
             exact = exact_legit_rate(placement.q, probs, gamma)
             bound = Fraction(probs.size, 2**53)
@@ -747,18 +782,35 @@ class TestGreedyOracle:
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
             n, s = probs.size, gamma.size
-            # the one integer array of S N entries holds levels, not files;
-            # the others are N long
-            arrays = {name: value for name, value in vars(t).items()
+            # the coverage half's one integer array of S N entries holds
+            # levels, not files; the popularity half's are N long
+            arrays = {name: value for name, value
+                      in [*vars(t).items(), *vars(t.popularity).items()]
                       if isinstance(value, np.ndarray) and value.dtype.kind in "iu"}
-            assert sorted(arrays) == ["least", "order", "rank", "segment"]
-            assert [arrays[name].size for name in ("least", "order", "rank")] == [n] * 3
+            assert sorted(arrays) == ["greatest", "least", "order", "rank", "segment"]
+            assert [arrays[name].size
+                    for name in ("greatest", "least", "order", "rank")] == [n] * 4
             assert arrays["segment"].size == s * n + 1
             assert int(arrays["segment"].max()) <= s
-            # rank inverts order; least[i] = min(order[i:]) by its recurrence
-            assert np.array_equal(t.rank[t.order], np.arange(n))
-            assert t.least[-1] == t.order[-1]
-            assert np.array_equal(t.least[:-1], np.minimum(t.order[:-1], t.least[1:]))
+            # rank inverts order; least[i] = min(order[i:]) and greatest[i] =
+            # max(order[:i + 1]) by their recurrences
+            half = t.popularity
+            order = half.order
+            assert np.array_equal(half.rank[order], np.arange(n))
+            assert half.least[-1] == order[-1] and half.greatest[0] == order[0]
+            assert np.array_equal(half.least[:-1], np.minimum(order[:-1], half.least[1:]))
+            assert np.array_equal(half.greatest[1:], np.maximum(order[1:], half.greatest[:-1]))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_q_mu_matches_the_array_path(self, source):
+        # the last entry above a floor, read off the popularity half's
+        # prefix maximum of the order, and off q for the same entries
+        for k, cfg in enumerate(self.cases(source)):
+            placement = equilibrium_placement(cfg).q_star
+            copy = Placement(q=placement.q.copy(), cache_size=cfg.cache_size)
+            for floor in (-1.0, 0.0, 1e-9, *placement._runs.values):
+                assert placement._last_above(floor) == copy._last_above(floor), \
+                    (source, k, floor)
 
     @pytest.mark.parametrize("source", [*SOURCES, "n2000"])
     def test_the_placement_is_built_on_first_read(self, source):
@@ -774,7 +826,7 @@ class TestGreedyOracle:
             assert placement.num_files == n
             assert "q" not in vars(placement), (source, k)
             values, counts, _, _ = self.fill(t, cfg)
-            eager = Placement(q=eager_fill(t.order, values, counts),
+            eager = Placement(q=eager_fill(t.popularity.order, values, counts),
                               cache_size=cfg.cache_size).q
             q = placement.q
             assert q is placement.q and (q.dtype, q.flags.writeable) == (np.float64, False)
@@ -839,6 +891,19 @@ class TestSolveSlot:
         sweep_equilibria(cfg, [round(0.05 * k, 12) for k in range(21)])
         assert (game._last_solve.hits, game._last_solve.misses) == (5, 16)
 
+    def test_results_compare_and_hash(self):
+        # a placement compares and hashes by identity, so a hit's result,
+        # which holds the same placement, equals the miss's
+        cfg = reference_config(0.3)
+        first = self.cold(cfg)
+        again = equilibrium_placement(cfg)
+        assert game._last_solve.hits == 1
+        assert again == first and hash(again) == hash(first)
+        assert first.q_star == first.q_star and hash(first.q_star) == hash(first.q_star)
+        cold = self.cold(cfg)
+        assert cold != first and cold.q_star != first.q_star
+        assert TestSolveSlot.bits(cold) == TestSolveSlot.bits(first)
+
     def test_the_no_adversary_solve_is_kept(self):
         cfg = reference_config()
         game._last_solve.clear()
@@ -856,7 +921,8 @@ class TestSolveSlot:
         record = game._last_solve.record
         assert isinstance(record, tuple)
         assert record.popularity is cfg.popularity and record.coverage is cfg.coverage
-        assert len(builds) == 1 and record.table is builds[0]
+        assert record.table is builds.coverage[0]
+        assert (len(builds.popularity), len(builds.coverage)) == (1, 1)
         # the last solve is alpha = 1, the no-adversary one alpha = 0
         assert record.last.placement is results[-1].q_star
         assert record.noadv.placement is results[0].q_star
@@ -869,7 +935,8 @@ class TestSolveSlot:
         assert game._last_solve.record is None
         # the table goes with the solves, so the same objects build it again
         equilibrium_placement(cfg)
-        assert (game._last_solve.hits, game._last_solve.misses, len(builds)) == (0, 1, 2)
+        assert (game._last_solve.hits, game._last_solve.misses) == (0, 1)
+        assert (len(builds.popularity), len(builds.coverage)) == (2, 2)
 
     def test_threads_solving_different_configs(self):
         configs = [make_config(0.0, zipf_popularity(50, z).probs, gamma, 7.0)

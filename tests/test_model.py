@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -185,7 +187,8 @@ class TestTypes:
         """A placement of the runs over three files, popularity order 2, 0, 1."""
         order = np.array([2, 0, 1])
         return Placement._from_runs(values, counts, order, np.argsort(order),
-                                    np.minimum.accumulate(order[::-1])[::-1], cache_size)
+                                    np.minimum.accumulate(order[::-1])[::-1],
+                                    np.maximum.accumulate(order), cache_size)
 
     def test_runs_placement(self):
         placement = self.runs((1.0, 0.25), (1, 2))
@@ -280,6 +283,32 @@ class TestTypes:
             # with_alpha goes through the same checks
             with pytest.raises(ValueError, match=match):
                 GameConfig(alpha=0.5, cache_size=cache, **fields).with_alpha(alpha)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("cache_size", True, "cache size"), ("cache_size", "3", "cache size"),
+        ("cache_size", None, "cache size"), ("cache_size", math.nan, "cache size"),
+        ("alpha", True, "alpha must be a real number"), ("alpha", np.True_, "alpha"),
+        ("alpha", "0.5", "alpha must be a real number"), ("alpha", None, "alpha"),
+        ("alpha", math.nan, "alpha must lie"),
+    ])
+    def test_game_config_field_types(self, field, value, match):
+        cfg = GameConfig(alpha=0.5, library=LibraryConfig(num_files=4),
+                         popularity=zipf_popularity(4, 0.7),
+                         coverage=CoverageProfile(gamma=[1.0]), cache_size=2.0)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(cfg, **{field: value})
+        # numpy's numbers and Python ints pass
+        for alpha, cache in [(np.float64(0.5), np.int64(2)), (np.float32(0.25), 3),
+                             (0, np.float32(1.5)), (1, 2)]:
+            assert dataclasses.replace(cfg, alpha=alpha, cache_size=cache).alpha == alpha
+
+    def test_placements_compare_and_hash_by_identity(self):
+        # comparing the entries of two placements is comparing their q arrays
+        a = Placement(q=[0.5, 0.25], cache_size=1.0)
+        b = Placement(q=[0.5, 0.25], cache_size=1.0)
+        runs = self.runs((1.0, 0.25), (1, 2))
+        assert a == a and a != b and runs == runs
+        assert hash(a) == hash(a) and len({a, b, runs}) == 3
 
     def test_types_are_immutable(self):
         p = zipf_popularity(5, 1.0)
