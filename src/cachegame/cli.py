@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -62,8 +61,8 @@ def parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+# f"{value:.6f}" as a bound method: no Python frame per CSV cell
+_fmt = "{:.6f}".format
 
 
 RATE_HEADER = ("R_total", "R_legit", "R_adv", "j_star")
@@ -136,8 +135,10 @@ def cmd_sweep_r(cfg: dict, args):
     # table; every radius is checked before the first solve
     first, *rest = args.r_grid
     base = build_game_config(dict(cfg, sbs_radius_m=first))
-    configs = [base, *(dataclasses.replace(base, coverage=geometry.coverage_profile(
-        _coverage_areas(dict(cfg, sbs_radius_m=r)))) for r in rest)]
+    profiles = (geometry.coverage_profile(_coverage_areas(dict(cfg, sbs_radius_m=r)))
+                for r in rest)
+    configs = [base, *(GameConfig(base.alpha, base.library, base.popularity, coverage,
+                                  base.cache_size) for coverage in profiles)]
     rows = [[_fmt(r), *[_fmt(g) for g in gcfg.coverage.gamma.tolist()],
              *_rate_cells(game.equilibrium_placement(gcfg))]
             for r, gcfg in zip(args.r_grid, configs)]
@@ -150,7 +151,8 @@ def cmd_sweep_cache(cfg: dict, args):
     # every cache size is checked before the first solve
     first, *rest = args.cache_grid
     base = build_game_config(dict(cfg, cache_size=first))
-    configs = [base, *(dataclasses.replace(base, cache_size=c) for c in rest)]
+    configs = [base, *(GameConfig(base.alpha, base.library, base.popularity,
+                                  base.coverage, c) for c in rest)]
     rows = [[_fmt(sub.cache_size), *_rate_cells(game.equilibrium_placement(sub))]
             for sub in configs]
     header = ["cache_size", *RATE_HEADER]

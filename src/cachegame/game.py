@@ -48,53 +48,48 @@ Allocation Problems, 1988):
   x_a > p_max: nothing above mu is heavy, q* is uniform.
 - Cost per solve.  The module keeps one slot, keyed by the popularity and
   coverage objects themselves (compared with `is`), that holds their segment
-  table; the greedy reads nothing else.  The table has two halves.  The
-  popularity half is built from the popularity alone: the popularity
-  order, its inverse, its suffix minimum and prefix maximum, the sums P_m
-  and the steps below, all N long.  The coverage half is built from gamma
-  and holds the popularity half by reference: the levels' slopes c_k, ends
-  and exact widths, and the S*N weights and sorted segments' levels.  A
-  new coverage object on the slot's popularity object (a radius sweep)
-  builds only the coverage half, on the popularity half of the table it
-  replaces; a new popularity object builds both.  The water level is read
-  off the table's steps g_m = m p_(m+1) - P_m (p ascending), which never
-  decrease in exact arithmetic, so (a/(1-a) + P_m) / m is least at the
-  first m with g_m >= a/(1-a): x_a is its value there, which one bisection
-  over the running maximum of the computed steps and one division give,
-  within a relative (N + 2) 2^-53 of the exact minimum.  The floor loop
-  runs on Python numbers and bisects a level's column, about log2 N steps,
-  only on the levels it visits.  The heavy length is summed exactly, in integers
-  over one power-of-two denominator, and rounded once, so q* has the same
-  bits on every CPU and BLAS build.  A floor strictly inside its level
-  solves that level's equation, so the budget is the heavy length and
-  every heavy segment fills whole: the floor's per-level counts are the
-  runs, with no running sums.  A floor on a level end (a level start, or
-  the end of its own level) has running sums over a window of N segments,
-  doubled while the budget lies past its end; the segments that start
-  below the budget are filled, all whole but the last, and one bincount of
-  their levels gives the runs and the one partial file.  Each run's value
+  table; the greedy reads nothing else.  Its popularity half is built from
+  the popularity alone: the popularity order, its inverse, its suffix minimum
+  and prefix maximum, the sums P_m and the steps below, all N long.  Its
+  coverage half is built from gamma on that half: the slopes c_k, the S*N
+  weights and the sorted segments' levels, beside the levels' ends and exact
+  widths, which depend on S alone and are built once per S
+  (model._level_grid, which every CoverageProfile reads for its knots).  A
+  new coverage object on the slot's popularity object (a radius sweep) builds
+  only the coverage half; a new popularity object builds both.  The steps
+  g_m = m p_(m+1) - P_m (p ascending) never decrease in exact arithmetic, so
+  (a/(1-a) + P_m) / m is least at the first m with g_m >= a/(1-a): one
+  bisection over the running maximum of the computed steps and one division
+  give x_a, within a relative (N + 2) 2^-53 of the exact minimum.  The floor
+  loop runs on Python numbers and bisects each level's column, about log2 N
+  steps, only on the levels it visits; the heavy length is summed exactly, in
+  integers over one power-of-two denominator, and rounded once, so q* has the
+  same bits on every CPU and BLAS build.  A floor strictly inside its level
+  solves that level's equation, so every heavy segment fills whole and the
+  floor's per-level counts are the runs.  A floor on a level end (a level
+  start, or the end of its own level) has running sums over a window of N
+  segments, doubled while the budget lies past its end, and one bincount of
+  the filled levels gives the runs and the one partial file.  A run's value
   is mu plus its levels' lengths, added bottom up as a per-file sum of the
-  fills would add them, and its popularity mass a difference of two P_m.
-  q* is kept as its non-empty runs (Placement._from_runs checks them in
-  O(S)) and written out only when someone reads q: one repeat and one
-  scatter through the popularity order.  The best response is the least
-  file index among the runs of the least value, one read of the table's
-  suffix minimum of the order, and the last entry above a floor (the CLI's
-  q_mu) one read of its prefix maximum; legit_rate reads the runs, and
-  adversary_rate one entry through the table's inverse of the order.  So a
-  solve writes no N-vector unless q is read; a floor inside its level
-  makes no pass over the files at all, and one on a level end only its
-  window's gather and running sums.  q*(alpha)
-  is piecewise constant, so the slot also keeps two solves on those
-  objects, `last` and `noadv`, the last one at alpha = 0.  A call on the
-  piece of either, by the rule at equilibrium_placement's reuse test,
-  reuses its fill, placement, best response and rates, and mixes only the
-  rates by its own alpha.  with_alpha and dataclasses.replace share the
-  objects, so an alpha or cache sweep hits; a replaced coverage builds its
-  own coverage half, and a config built afresh from equal vectors both
-  halves of its own table.  The slot is one immutable record that a solve
-  reads once and a miss replaces whole, so threads never mix two configs.  detect_thresholds reads the
-  placements one at a time, each against the no-adversary one by merging
+  fills would add them, and its popularity mass a difference of two P_m.  One
+  loop emits the non-empty runs as Placement keeps them (values, counts and
+  running counts, beside the masses); Placement._from_runs keeps those
+  tuples, checks them in O(S) with C calls, and writes q only when it is
+  read: one repeat and one scatter through the popularity order.  The best
+  response, the least file among the least runs, is one read of the table's
+  suffix minimum of the order, the CLI's q_mu one of its prefix maximum;
+  legit_rate reads the runs and adversary_rate one entry through the inverse
+  of the order.  So a solve writes no N-vector unless q is read, and passes
+  over the files only in a level end's window.  q*(alpha) is piecewise
+  constant, so the slot also keeps two solves on those objects, `last` and
+  `noadv`, the last one at alpha = 0.  A call on the piece of either, by the
+  rule at equilibrium_placement's reuse test, reuses its fill, placement,
+  best response and rates, and mixes only the rates by its own alpha.
+  with_alpha and dataclasses.replace share the objects, so an alpha or cache
+  sweep hits; a config built afresh from equal vectors builds its own table.
+  The slot is one immutable record that a solve reads once and a miss
+  replaces whole, so threads never mix two configs.  detect_thresholds reads
+  the placements one at a time, each against the no-adversary one by merging
   their runs' boundaries in O(S), and stops at the second threshold.
 """
 
@@ -109,6 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import GameConfig, Placement, RateBreakdown
 from .rate import adversary_rate, legit_rate, total_rate
 
@@ -163,54 +159,31 @@ def evaluate(placement: Placement, cfg: GameConfig) -> RateBreakdown:
     return _rate(placement, cfg)[1]
 
 
-@dataclass(frozen=True)
-class _PopularityHalf:
-    """The popularity half of a segment table: what depends on the
-    popularity vector alone, shared by the tables of every coverage solved
-    with the same popularity object.
+# The popularity half of a segment table: what depends on the popularity
+# vector alone, shared by the tables of every coverage solved with the same
+# popularity object.  Every field is read-only.  order lists the files most
+# popular first, ties in index order; rank is its inverse, each file's
+# position in it; least[i] is the least file index in order[i:] and
+# greatest[i] the largest in order[:i + 1].  cumprobs views P_m, the sum of
+# the m smallest probabilities, at index m - 1; N is its length.  steps
+# views the running maximum of the steps g_m = m p_(m+1) - P_m,
+# m = 1 .. N-1, p ascending.
+_PopularityHalf = namedtuple("_PopularityHalf",
+                             "order rank least greatest cumprobs steps")
 
-    Every field is read-only.  order lists the files most popular first,
-    ties in index order; rank is its inverse, each file's position in it;
-    least[i] is the least file index in order[i:] and greatest[i] the
-    largest in order[:i + 1].  cumprobs views P_m, the sum of the m smallest
-    probabilities, at index m - 1; N is its length.  steps views the running
-    maximum of the steps g_m = m p_(m+1) - P_m, m = 1 .. N-1, p ascending.
-    """
-
-    order: np.ndarray
-    rank: np.ndarray
-    least: np.ndarray
-    greatest: np.ndarray
-    cumprobs: memoryview
-    steps: memoryview
-
-
-@dataclass(frozen=True)
-class _Segments:
-    """The segment table of one (popularity, coverage) pair: its coverage
-    half, built from gamma, holding the popularity half by reference.
-
-    Every field is read-only.  Level k spans [lo[k], hi[k]] and weighs c[k]
-    per unit of popularity; hi[k] and its width hi[k] - lo[k] are exactly
-    hi_exact[k] / scale and width_exact[k] / scale.  Sorted segment i
-    belongs to level segment[i + 1]; segment[0] is S, a level of length 0
-    that starts the running sums.  Equal weights sort level by level, lower
-    q first.  No per-segment file index is kept: each level's segments sort
-    in popularity order, so a fill's segments of a level belong to the first
-    files of popularity.order.  columns views the negated weights -p_j c_l
-    level by level, each level's N in popularity order, so ascending within
-    a level.
-    """
-
-    popularity: _PopularityHalf
-    c: tuple[float, ...]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    hi_exact: tuple[int, ...]
-    width_exact: tuple[int, ...]
-    scale: int
-    segment: np.ndarray
-    columns: memoryview
+# The segment table of one (popularity, coverage) pair: its coverage half,
+# built from gamma, holding the popularity half by reference.  Every field
+# is read-only.  Level k weighs c[k] per unit of popularity; lo, hi,
+# hi_exact, width_exact and scale are model._level_grid's grid of S levels,
+# shared by every table of S levels.  Sorted segment i belongs to level
+# segment[i + 1]; segment[0] is S, a level of length 0 that starts the
+# running sums.  Equal weights sort level by level, lower q first.  No
+# per-segment file index is kept: each level's segments sort in popularity
+# order, so a fill's segments of a level belong to the first files of
+# popularity.order.  columns views the negated weights -p_j c_l level by
+# level, each level's N in popularity order, so ascending within a level.
+_Segments = namedtuple("_Segments", "popularity c lo hi hi_exact width_exact scale "
+                                    "segment columns")
 
 
 def _popularity_half(probs: np.ndarray) -> _PopularityHalf:
@@ -229,8 +202,8 @@ def _popularity_half(probs: np.ndarray) -> _PopularityHalf:
     greatest = np.maximum.accumulate(order)
     for array in (order, rank, least, greatest, cumprobs, steps):
         array.setflags(write=False)
-    return _PopularityHalf(order=order, rank=rank, least=least, greatest=greatest,
-                           cumprobs=memoryview(cumprobs), steps=memoryview(steps))
+    return _PopularityHalf(order, rank, least, greatest, memoryview(cumprobs),
+                           memoryview(steps))
 
 
 def _segments(probs: np.ndarray, gamma: np.ndarray,
@@ -241,8 +214,6 @@ def _segments(probs: np.ndarray, gamma: np.ndarray,
     if half is None:
         half = _popularity_half(probs)
     s, n = gamma.size, probs.size
-    hi = [1.0 / k for k in range(s, 0, -1)]       # segment ends, increasing q
-    lo = [0.0, *hi[:-1]]
     # c_k of each segment, added in the order of numpy's cumsum
     c = [*itertools.accumulate(d * g for d, g in enumerate(gamma.tolist(), 1))][::-1]
     # the weights, then a -inf that sorts first: its index S*N gives level S
@@ -256,14 +227,9 @@ def _segments(probs: np.ndarray, gamma: np.ndarray,
     segment //= n                                 # the level of each segment
     for array in (weights, segment):
         array.setflags(write=False)
-    # every float is an integer over a power of two, so the largest
-    # denominator is a multiple of all the others
-    ratios = [v.as_integer_ratio() for v in [*hi, *map(operator.sub, hi, lo)]]
-    scale = max(den for _, den in ratios)
-    exact = tuple(num * (scale // den) for num, den in ratios)
-    return _Segments(popularity=half, c=tuple(c), lo=tuple(lo), hi=tuple(hi),
-                     hi_exact=exact[:s], width_exact=exact[s:], scale=scale,
-                     segment=segment, columns=memoryview(weights[:-1]))
+    # lo, hi, hi_exact, width_exact and scale: the level grid of S levels
+    return _Segments(half, tuple(c), *model._level_grid(s), segment,
+                     memoryview(weights[:-1]))
 
 
 def _water_level(t: _Segments, alpha: float) -> float:
@@ -291,8 +257,9 @@ def _floor(t: _Segments, alpha: float,
     for k in range(s):                            # levels, increasing q
         # level-l segments weighing >= c_k x_a, all of them if c_k = 0
         bound = -(c[k] * x_a) if c[k] > 0 else -0.0
-        count = [bisect.bisect_right(columns, bound, l * n, (l + 1) * n) - l * n
-                 for l in range(s)]
+        count = []
+        for start in range(0, s * n, n):
+            count.append(bisect.bisect_right(columns, bound, start, start + n) - start)
         # the exact sum, rounded once by the int / int division
         used = (count[k] * t.hi_exact[k]
                 + sum(map(operator.mul, count[k + 1:], t.width_exact[k + 1:]))
@@ -305,12 +272,13 @@ def _floor(t: _Segments, alpha: float,
 
 
 def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
-          cache: float) -> tuple[tuple[float, ...], tuple[int, ...],
+          cache: float) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...],
                                  tuple[float, ...], int]:
     """The greedy fill of the budget M - N mu over the first `heavy` sorted
     segments, above mu, on the floor (mu, heavy, count, k) of _floor: the
-    non-empty runs of q in popularity order, as their values, file counts
-    and popularity masses, and the number of segments the fill covers.
+    non-empty runs of q in popularity order, as Placement._from_runs takes
+    them (their values, file counts and running file counts `ends`), their
+    popularity masses, and the number of segments the fill covers.
     Equal weights fill level by level, lower q first, and each level's in
     popularity order, ties in index order, so the values never increase."""
     cumprobs = t.popularity.cumprobs
@@ -351,25 +319,23 @@ def _fill(t: _Segments, mu: float, heavy: int, count: list[int], k: int,
     # files whose top filled level is l hold mu plus the lengths of levels
     # 0 .. l, summed in that order as a per-file sum of the fills would be,
     # then the rest hold mu; the partial file ends its level's run.
-    sums = list(itertools.accumulate(lengths, initial=0.0))
-    values = [mu + v for v in reversed(sums)]
+    sums = [*itertools.accumulate(lengths, initial=0.0)][::-1]    # top run first
     counts = [*map(operator.sub, reversed(filled), [0, *reversed(filled[1:])]),
               n - filled[0]]
     if partial is not None:
         level, fill = partial
         counts[s - 1 - level] -= 1
-        values.insert(s - level, mu + (sums[level] + fill))
+        sums.insert(s - level, sums[s - level] + fill)
         counts.insert(s - level, 1)
     # a run's mass is a difference of the sums of the smallest probabilities
     runs, end, above = [], 0, cumprobs[n - 1]
-    for value, size in zip(values, counts):
+    for top, size in zip(sums, counts):
         if size:
             end += size
             below = cumprobs[n - end - 1] if end < n else 0.0
-            runs.append((value, size, above - below))
+            runs.append((mu + top, size, end, above - below))
             above = below
-    values, counts, masses = zip(*runs)
-    return values, counts, masses, cut
+    return (*zip(*runs), cut)
 
 
 _Record = namedtuple("_Record", "popularity coverage table last noadv")
@@ -427,8 +393,9 @@ def equilibrium_placement(cfg: GameConfig) -> EquilibriumResult:
             break
     else:
         half = record.table.popularity
-        values, counts, masses, cut = _fill(record.table, mu, heavy, count, k, cache)
-        placement = Placement._from_runs(values, counts, half.order, half.rank,
+        values, counts, ends, masses, cut = _fill(record.table, mu, heavy, count, k,
+                                                  cache)
+        placement = Placement._from_runs(values, counts, ends, half.order, half.rank,
                                          half.least, half.greatest, cache)
         # h is flat past either end of [0, 1], so the values need no clipping
         j_star, rates = _rate(placement, cfg, zip(values, masses))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoverageProfile
+from .model import CoverageProfile, _check_real
 
 MAX_COVERAGE = 4
 
@@ -31,9 +31,12 @@ class NetworkGeometry:
     user_density: float
 
     def __post_init__(self):
-        for name in ("mbs_radius", "sbs_spacing", "user_density"):
+        for name in ("mbs_radius", "sbs_spacing", "sbs_radius", "user_density"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                _check_real(value, name)
             # written so that NaN fails the test
-            if not 0 < getattr(self, name) < math.inf:
+            if name != "sbs_radius" and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         lo = self.sbs_spacing / math.sqrt(2.0)
         if not lo - 1e-9 <= self.sbs_radius <= self.sbs_spacing + 1e-9:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import math
 import numbers
 import operator
@@ -24,8 +24,9 @@ def _probability_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty one-dimensional vector")
-    # written so that a NaN entry fails the test: the minimum is then NaN
-    if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= PROB_TOL):
+    # the ufuncs of arr.min() and arr.sum(), without their wrappers; written
+    # so that a NaN entry fails the test: the minimum is then NaN
+    if not (np.minimum.reduce(arr) >= 0 and abs(np.add.reduce(arr) - 1.0) <= PROB_TOL):
         raise ValueError(f"{name} must be non-negative and sum to 1")
     arr.setflags(write=False)
     return arr
@@ -41,6 +42,32 @@ def _check_count(value, name: str, low: int, high: int | None = None) -> int:
         raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
                          else f"{name} must lie in [{low}, {high}], got {value}")
     return value
+
+
+def _check_real(value, name: str) -> None:
+    """ValueError naming `name` unless `value` is a real number (numpy's
+    pass, a bool does not); callers skip the call for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+_LevelGrid = namedtuple("_LevelGrid", "lo hi hi_exact width_exact scale")
+
+
+@functools.lru_cache
+def _level_grid(s: int) -> _LevelGrid:
+    """The S coverage levels in increasing q, built once per S for every
+    coverage profile and segment table: level k spans [lo[k], hi[k]], the
+    knots 1/S, ..., 1/2, 1, and hi[k] and its width are exactly
+    hi_exact[k] / scale and width_exact[k] / scale."""
+    hi = tuple(1.0 / k for k in range(s, 0, -1))
+    lo = (0.0, *hi[:-1])
+    # every float is an integer over a power of two, so the largest
+    # denominator is a multiple of all the others
+    ratios = [v.as_integer_ratio() for v in [*hi, *map(operator.sub, hi, lo)]]
+    scale = max(den for _, den in ratios)
+    exact = tuple(num * (scale // den) for num, den in ratios)
+    return _LevelGrid(lo, hi, exact[:s], exact[s:], scale)
 
 
 @dataclass(frozen=True)
@@ -87,7 +114,7 @@ class CoverageProfile:
         gamma = _probability_vector(self.gamma, "gamma")
         object.__setattr__(self, "gamma", gamma)
         coefficients = list(enumerate(gamma.tolist(), start=1))
-        knots = [0.0, *(1.0 / k for k in range(gamma.size, 0, -1))]
+        knots = [0.0, *_level_grid(gamma.size).hi]
         values = [math.fsum([g * (1.0 - d * x) for d, g in coefficients if d * x < 1.0])
                   for x in knots]
         # np.interp's slope of each piece, term for term
@@ -179,29 +206,30 @@ class Placement:
             raise ValueError("placement exceeds cache capacity")
 
     @classmethod
-    def _from_runs(cls, values, counts, order: np.ndarray, rank: np.ndarray,
-                   least: np.ndarray, greatest: np.ndarray,
+    def _from_runs(cls, values: tuple, counts: tuple, ends: tuple, order: np.ndarray,
+                   rank: np.ndarray, least: np.ndarray, greatest: np.ndarray,
                    cache_size: float) -> "Placement":
-        """The placement that holds values[i] on the next counts[i] files
-        of `order`, a permutation of the files with inverse `rank`, suffix
-        minimum `least` and prefix maximum `greatest`, the values never
-        increasing; its entries are checked and clipped as q's are, and its
-        capacity on the exact sum of the runs, all in O(len(values))."""
+        """The placement that holds values[i], never increasing, on the next
+        counts[i] files of `order`, ends[i] being their running count; `order`
+        is a permutation with inverse `rank`, suffix minimum `least` and prefix
+        maximum `greatest`.  The tuples are kept as given and checked in O(S)
+        by C calls: entries as q's are, capacity on the exact sum of the runs."""
         _check_cache_size(cache_size)
-        values, counts = tuple(values), tuple(counts)
-        # numpy only for entries outside the box; written so that NaN goes there
-        if not all(0.0 <= value <= 1.0 for value in values):
+        # numpy only for entries outside the box.  min and max step over a
+        # NaN that is not first, but the sum is then NaN and goes there too
+        if not (0.0 <= min(values) and max(values) <= 1.0
+                and (total := math.fsum(map(operator.mul, values, counts))) == total):
             values = tuple(_entries(np.array(values, dtype=float)).tolist())
-        if not (len(values) == len(counts) and min(counts) > 0
-                and sum(counts) == order.size):
+            total = math.fsum(map(operator.mul, values, counts))
+        if not (len(values) == len(counts) == len(ends) and min(counts) > 0
+                and ends[-1] == order.size):
             raise ValueError("runs must cover every file once")
-        if math.fsum(map(operator.mul, values, counts)) > cache_size + CAPACITY_TOL:
+        if total > cache_size + CAPACITY_TOL:
             raise ValueError("placement exceeds cache capacity")
         placement = object.__new__(cls)
         object.__setattr__(placement, "cache_size", cache_size)
-        object.__setattr__(placement, "_runs", _Runs(
-            values, counts, tuple(itertools.accumulate(counts)), order, rank, least,
-            greatest))
+        object.__setattr__(placement, "_runs", _Runs(values, counts, ends, order, rank,
+                                                     least, greatest))
         return placement
 
     def __getattr__(self, name):
@@ -295,13 +323,10 @@ class GameConfig:
     cache_size: float
 
     def __post_init__(self):
-        alpha = self.alpha
-        # a float skips the slower ABC check
-        if type(alpha) is not float and (isinstance(alpha, bool)
-                                         or not isinstance(alpha, numbers.Real)):
-            raise ValueError(f"alpha must be a real number, got {alpha!r}")
+        if type(self.alpha) is not float:
+            _check_real(self.alpha, "alpha")
         # written so that NaN fails the test
-        if not 0.0 <= alpha <= 1.0:
+        if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         _check_cache_size(self.cache_size, self.library.num_files)
         if self.popularity.num_files != self.library.num_files:
@@ -326,6 +351,8 @@ class RateBreakdown:
 def zipf_popularity(num_files: int, exponent: float) -> PopularityDist:
     """Zipf popularity p_j proportional to 1/j^z; z = 0 gives a uniform demand."""
     num_files = _check_count(num_files, "num_files", 1)
+    if type(exponent) is not float:
+        _check_real(exponent, "Zipf exponent")
     if not 0 <= exponent < math.inf:
         raise ValueError("Zipf exponent must be finite and non-negative")
     # a large exponent overflows j^z to inf, which gives the file weight 0

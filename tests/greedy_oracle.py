@@ -12,8 +12,9 @@ level solves the floor's equation, which makes the budget the heavy length,
 so every heavy segment fills whole; on a level end the budget is filled by
 running sums, the last segment clipped.  The greedy of `cachegame.game`
 returns the runs of q, `game._fill(t, *game._floor(t, alpha, M), M)` on the
-segment table t; written out by `eager_fill`, they must have the same bits
-on every input; the tests compare the two with `np.array_equal`.
+segment table t, as their values, counts, running counts, masses and the
+fill's cut; written out by `eager_fill`, they must have the same bits on
+every input; the tests compare the two with `np.array_equal`.
 """
 
 from fractions import Fraction

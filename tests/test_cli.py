@@ -214,6 +214,15 @@ class TestSweepR:
         # each radius builds only the coverage half of its segment table
         assert (calls["_popularity_half"], calls["_segments"]) == (1, 35)
 
+    def test_one_level_grid_per_sweep(self, capsys, calls):
+        # the level grid depends on S alone: the 35 coverage profiles and the
+        # 35 coverage halves of the sweep derive it once and share it
+        model._level_grid.cache_clear()
+        assert main(["sweep-r", "--r-grid", "43:60:0.5"]) == 0
+        assert calls["_segments"] == 35
+        info = model._level_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 69)
+
     def test_config_radius_is_never_read(self, capsys):
         # the grid sets every radius, so an invalid config radius is unused
         assert main(["sweep-r", "--r-grid", "45,50"]) == 0
@@ -344,7 +353,7 @@ class TestThresholdColumns:
         # the same rows kept as runs, popularity order 0, 2, 1: the last file
         # above the cut-off is the largest index in a prefix of the order
         order = np.array([0, 2, 1])
-        runs = [Placement._from_runs(values, counts, order, np.argsort(order),
+        runs = [Placement._from_runs(values, counts, (1, 2, 3), order, np.argsort(order),
                                      np.minimum.accumulate(order[::-1])[::-1],
                                      np.maximum.accumulate(order), 1.0)
                 for values, counts in (((1e-9, 5e-10, 0.0), (1, 1, 1)),

@@ -416,7 +416,7 @@ class TestSegmentTable:
         table = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
         half = table.popularity
         assert isinstance(half, game._PopularityHalf)
-        for name, value in [*vars(table).items(), *vars(half).items()]:
+        for name, value in [*table._asdict().items(), *half._asdict().items()]:
             if value is half:
                 continue
             # tuples, read-only memoryviews and read-only arrays refuse a write
@@ -681,7 +681,7 @@ class TestGreedyOracle:
         for k, cfg in enumerate(cases):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
-            values, counts, _, _ = self.fill(t, cfg)
+            values, counts, _, _, _ = self.fill(t, cfg)
             assert np.array_equal(eager_fill(t.popularity.order, values, counts),
                                   greedy_placement(probs, gamma, cfg.alpha,
                                                    cfg.cache_size)), (source, k)
@@ -728,7 +728,7 @@ class TestGreedyOracle:
             t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
             mu, heavy, count, k = game._floor(t, cfg.alpha, cfg.cache_size)
             assert mu == t.lo[k]
-            cut = game._fill(t, mu, heavy, count, k, cfg.cache_size)[3]
+            cut = game._fill(t, mu, heavy, count, k, cfg.cache_size)[4]
             assert 2 * cfg.library.num_files < cut < heavy
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -741,13 +741,17 @@ class TestGreedyOracle:
         for k, cfg in enumerate(self.cases(source)):
             t = game._segments(cfg.popularity.probs, cfg.coverage.gamma)
             mu, heavy, count, level = game._floor(t, cfg.alpha, cfg.cache_size)
-            values, counts, masses, _ = game._fill(t, mu, heavy, count, level,
-                                                   cfg.cache_size)
+            values, counts, ends, masses, _ = game._fill(t, mu, heavy, count, level,
+                                                         cfg.cache_size)
             q = eager_fill(t.popularity.order, values, counts)
             s, n = cfg.coverage.max_coverage, cfg.library.num_files
             # at most S + 2 runs, none empty, that cover every file once
             assert len(values) == len(counts) == len(masses) <= s + 2, (source, k)
             assert min(counts) > 0 and sum(counts) == n, (source, k)
+            # in the form Placement._from_runs keeps them: tuples, with the
+            # running file counts
+            assert {type(x) for x in (values, counts, ends, masses)} == {tuple}
+            assert ends == tuple(itertools.accumulate(counts)), (source, k)
             staircase = q[t.popularity.order]
             assert np.all(np.diff(staircase) <= 0.0), (source, k)
             assert list(values) == sorted(values, reverse=True), (source, k)
@@ -767,7 +771,7 @@ class TestGreedyOracle:
         for k, cfg in enumerate(self.cases(source)):
             probs, gamma = cfg.popularity.probs, cfg.coverage.gamma
             t = game._segments(probs, gamma)
-            values, counts, masses, _ = self.fill(t, cfg)
+            values, counts, _, masses, _ = self.fill(t, cfg)
             placement = Placement(q=eager_fill(t.popularity.order, values, counts),
                                   cache_size=cfg.cache_size)
             exact = exact_legit_rate(placement.q, probs, gamma)
@@ -785,7 +789,7 @@ class TestGreedyOracle:
             # the coverage half's one integer array of S N entries holds
             # levels, not files; the popularity half's are N long
             arrays = {name: value for name, value
-                      in [*vars(t).items(), *vars(t.popularity).items()]
+                      in [*t._asdict().items(), *t.popularity._asdict().items()]
                       if isinstance(value, np.ndarray) and value.dtype.kind in "iu"}
             assert sorted(arrays) == ["greatest", "least", "order", "rank", "segment"]
             assert [arrays[name].size
@@ -825,7 +829,7 @@ class TestGreedyOracle:
             entries = [placement._entry(j) for j in range(n)]
             assert placement.num_files == n
             assert "q" not in vars(placement), (source, k)
-            values, counts, _, _ = self.fill(t, cfg)
+            values, counts, _, _, _ = self.fill(t, cfg)
             eager = Placement(q=eager_fill(t.popularity.order, values, counts),
                               cache_size=cfg.cache_size).q
             q = placement.q

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,23 @@ class TestNetworkGeometry:
                       user_density=0.05)
         with pytest.raises(ValueError, match=f"^{field} "):
             NetworkGeometry(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field", ["mbs_radius", "sbs_spacing", "sbs_radius",
+                                       "user_density"])
+    @pytest.mark.parametrize("value", [True, "500", None, 1j],
+                             ids=["bool", "str", "none", "complex"])
+    def test_fields_that_are_no_real_numbers(self, field, value):
+        # named as the fault, not accepted (a bool) or met by a TypeError
+        fields = dict(mbs_radius=500.0, sbs_spacing=60.0, sbs_radius=45.0,
+                      user_density=0.05)
+        match = f"^{field} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=match):
+            NetworkGeometry(**{**fields, field: value})
+
+    def test_numpy_and_integer_fields_pass(self):
+        g = NetworkGeometry(mbs_radius=np.int64(500), sbs_spacing=60,
+                            sbs_radius=np.float32(45.0), user_density=np.float64(0.05))
+        assert deployment_counts(g) == deployment_counts(geom(45.0))
 
 
 class TestCoverageAreas:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -33,6 +34,19 @@ class TestZipfPopularity:
             zipf_popularity(10, -0.1)
         with pytest.raises(ValueError):
             zipf_popularity(10, float("nan"))
+
+    @pytest.mark.parametrize("z", [True, False, None, "1", 1j, [0.7]],
+                             ids=["true", "false", "none", "str", "complex", "list"])
+    def test_rejects_an_exponent_that_is_no_real_number(self, z):
+        # a bool is no exponent; the others are named, not met by a TypeError
+        match = f"^Zipf exponent must be a real number, got {re.escape(repr(z))}$"
+        with pytest.raises(ValueError, match=match):
+            zipf_popularity(5, z)
+
+    @pytest.mark.parametrize("z", [1, np.float64(0.7), np.int64(2), np.float32(0.5)])
+    def test_numpy_and_integer_exponents_pass(self, z):
+        expected = zipf_popularity(5, float(z)).probs
+        assert zipf_popularity(5, z).probs.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("z", [134.0, 150.0, 1e6])
     def test_large_exponent_leaves_the_tail_at_zero(self, z):
@@ -186,12 +200,16 @@ class TestTypes:
     def runs(values, counts, cache_size=2.0):
         """A placement of the runs over three files, popularity order 2, 0, 1."""
         order = np.array([2, 0, 1])
-        return Placement._from_runs(values, counts, order, np.argsort(order),
+        return Placement._from_runs(values, counts, tuple(itertools.accumulate(counts)),
+                                    order, np.argsort(order),
                                     np.minimum.accumulate(order[::-1])[::-1],
                                     np.maximum.accumulate(order), cache_size)
 
     def test_runs_placement(self):
-        placement = self.runs((1.0, 0.25), (1, 2))
+        values, counts = (1.0, 0.25), (1, 2)
+        placement = self.runs(values, counts)
+        # the tuples are kept as given, not copied
+        assert placement._runs.values is values and placement._runs.counts is counts
         # num_files and single entries are read off the runs; q is built on
         # first read, once, read-only
         assert placement.num_files == 3
@@ -211,13 +229,16 @@ class TestTypes:
         ((1.0, -0.1), (1, 2), 2.0, r"\[0, 1\]"),
         ((1.0, np.nan), (1, 2), 2.0, r"\[0, 1\]"),
         ((np.nan, 0.5), (1, 2), 2.0, r"\[0, 1\]"),
+        # min and max step over it; the capacity sum does not
+        ((1.0, np.nan, 0.5), (1, 1, 1), 2.0, r"\[0, 1\]"),
         # 1 + 2 * 0.5 + 2e-6 > M + CAPACITY_TOL
         ((1.0, 0.5 + 1e-6), (1, 2), 2.0, "exceeds cache capacity"),
         ((1.0, 0.5), (1, 1), 2.0, "cover every file once"),
         ((1.0, 0.5, 0.0), (1, 2, 0), 2.0, "cover every file once"),
         ((1.0,), (1, 2), 2.0, "cover every file once"),
         ((1.0, 0.5), (1, 2), np.inf, "cache size must be positive and finite"),
-    ], ids=["above_one", "below_zero", "nan_last", "nan_first", "over_capacity",
+    ], ids=["above_one", "below_zero", "nan_last", "nan_first", "nan_in_middle",
+            "over_capacity",
             "too_few_files", "an_empty_run", "fewer_values", "infinite_cache"])
     def test_runs_placement_rejects(self, values, counts, cache, match):
         with pytest.raises(ValueError, match=match):
